@@ -28,12 +28,11 @@ rec = test[0]
 ids = rec.exposed_ids.copy()
 swapped = ids.copy()
 swapped[[0, 4]] = swapped[[4, 0]]
-base, _ = ev.scores_from_sessions(ids[None], rec.session_ids[None], params)
-after, _ = ev.scores_from_sessions(swapped[None], rec.session_ids[None], params)
-print("\npCTR of the logged order:   ", np.round(base[0], 3))
-print("pCTR with slots 1/5 swapped:", np.round(after[0], 3))
-
-scores = ev.predict_list(ids, rec.session_ids, params)
-print("\nper-slot conversion estimates:", np.round(scores.pcvr, 3))
+e_user = ev.user_vectors([rec], params)
+(base, after), (pcvr, _) = ev.scores_for_lists(np.stack([ids, swapped]),
+                                               np.repeat(e_user, 2, axis=0), params)
+print("\npCTR of the logged order:   ", np.round(base, 3))
+print("pCTR with slots 1/5 swapped:", np.round(after, 3))
+print("\nper-slot conversion estimates:", np.round(pcvr, 3))
 params.save("/tmp/demo_eval.ckpt")
 print("checkpoint written to /tmp/demo_eval.ckpt")

@@ -181,7 +181,7 @@ def cmd_rerank(cfg: Config, out_dir: Path) -> None:
     print(f"wrote {len(lists)} reranked lists to {path} ({changed} changed)")
 
 
-def _bench_report(cfg: Config, out_dir: Path, threads: int) -> list[dict]:
+def _bench_report(cfg: Config, out_dir: Path) -> list[dict]:
     _, test = _load_split(out_dir)
     eval_params = ev.EvaluatorParams.load(_require(out_dir / EVAL_CKPT, "evaluator checkpoint"))
     gp = GeneratorParams.load(_require(out_dir / GEN_CKPT, "generator checkpoint"), eval_params)
@@ -191,12 +191,10 @@ def _bench_report(cfg: Config, out_dir: Path, threads: int) -> list[dict]:
 
     eval_row = ev.evaluate_metrics(test, eval_params)
     e_user = ev.user_vectors(test, eval_params)
-    lists = pl.baseline_lists(test, eval_params, seed=t.seed, e_user_cache=e_user,
-                              threads=threads)
+    lists = pl.baseline_lists(test, eval_params, seed=t.seed, e_user_cache=e_user)
     lists["generator"], _ = pl.rerank_records(test, gp, _gumbel_config(cfg),
-                                              threads=threads, e_user_cache=e_user)
-    hr = pl.evaluate_rerankers(test, eval_params, reward_cfg, lists,
-                               threads=threads, e_user_cache=e_user)
+                                              e_user_cache=e_user)
+    hr = pl.evaluate_rerankers(test, eval_params, reward_cfg, lists, e_user_cache=e_user)
     rows = [{"model": "evaluator", **eval_row}]
     for model in ("input", "random", "greedy", "generator"):
         rows.append({"model": model,
@@ -207,8 +205,8 @@ def _bench_report(cfg: Config, out_dir: Path, threads: int) -> list[dict]:
 REPORT_COLUMNS = ["model", "auc", "logloss", "ndcg5", "ndcg10", "hr10", "hr1"]
 
 
-def cmd_bench(cfg: Config, out_dir: Path, threads: int) -> None:
-    rows = _bench_report(cfg, out_dir, threads)
+def cmd_bench(cfg: Config, out_dir: Path) -> None:
+    rows = _bench_report(cfg, out_dir)
     provenance = {
         "config_sha256": config_hash(cfg),
         "eval_ckpt_sha256": _file_hash(out_dir / EVAL_CKPT),
@@ -232,8 +230,13 @@ _EVAL_STAGE_KEYS = {
 }
 
 
-def cmd_sweep(spec_path: Path, out_dir: Path, threads: int) -> None:
-    payload = json.loads(_require(spec_path, "sweep spec").read_text(encoding="utf-8"))
+def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
+    try:
+        payload = json.loads(_require(spec_path, "sweep spec").read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"sweep spec {spec_path}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError("sweep spec: expected an object")
     for key in ("version", "param", "values", "base"):
         if key not in payload:
             raise ConfigError(f"sweep spec: missing key {key}")
@@ -243,9 +246,11 @@ def cmd_sweep(spec_path: Path, out_dir: Path, threads: int) -> None:
     if payload["version"] != 1:
         raise ConfigError(f"sweep spec: unsupported version {payload['version']}")
     base = config_from_dict(payload["base"])
-    param: str = payload["param"]
-    values = payload["values"]
-    set_by_dotted_key(base, param, values[0])  # validates the key exists
+    param, values = payload["param"], payload["values"]
+    if not isinstance(values, list) or not values:
+        raise ConfigError("sweep spec: values must be a nonempty list")
+    for value in values:  # every setting must be valid before any stage runs
+        set_by_dotted_key(base, param, value)
 
     shared_stages = not (param.startswith("data.") or param in _EVAL_STAGE_KEYS)
     if shared_stages:
@@ -267,7 +272,7 @@ def cmd_sweep(spec_path: Path, out_dir: Path, threads: int) -> None:
             cmd_gen_data(cfg_v, sub)
             cmd_train_eval(cfg_v, sub)
         cmd_train_gen(cfg_v, sub)
-        cmd_bench(cfg_v, sub, threads)
+        cmd_bench(cfg_v, sub)
         rows = _read_report(sub / REPORT_FILE)
         gen_row = next(r for r in rows if r["model"] == "generator")
         eval_row = next(r for r in rows if r["model"] == "evaluator")
@@ -318,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: paths.out_dir from the config)")
         p.add_argument("--seed", type=int, default=None,
                        help="override data and training seeds")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for record-parallel evaluation")
     return parser
 
 
@@ -329,7 +332,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             out_dir = Path(args.out) if args.out else Path("runs/sweep")
             out_dir.mkdir(parents=True, exist_ok=True)
-            cmd_sweep(Path(args.config), out_dir, args.threads)
+            cmd_sweep(Path(args.config), out_dir)
             return 0
         cfg = _apply_overrides(load_config(args.config), args)
         out_dir = Path(args.out) if args.out else Path(cfg.paths.out_dir)
@@ -343,7 +346,7 @@ def main(argv=None) -> int:
         elif args.command == "rerank":
             cmd_rerank(cfg, out_dir)
         elif args.command == "bench":
-            cmd_bench(cfg, out_dir, args.threads)
+            cmd_bench(cfg, out_dir)
         return 0
     except (MissingArtifact, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,14 +183,19 @@ def apply_ablation(training: TrainingSection) -> TrainingSection:
 
 def set_by_dotted_key(cfg: Config, dotted: str, value) -> Config:
     """Return a copy of cfg with one dotted parameter replaced."""
-    parts = dotted.split(".")
+    parts = dotted.split(".") if isinstance(dotted, str) else []
     if len(parts) != 2 or parts[0] not in _SECTIONS:
         raise ConfigError(f"sweep parameter {dotted!r} is not a config key")
     section_name, key = parts
     section = getattr(cfg, section_name)
     if key not in {f.name for f in dataclasses.fields(section)}:
         raise ConfigError(f"sweep parameter {dotted!r} is not a config key")
-    new_section = dataclasses.replace(section, **{key: value})
+    try:
+        new_section = dataclasses.replace(section, **{key: value})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep parameter {dotted}={value!r}: {exc}") from exc
     out = dataclasses.replace(cfg)
     setattr(out, section_name, new_section)
     return out

@@ -253,46 +253,25 @@ def user_vectors(records: list[InteractionRecord], params: EvaluatorParams,
     return out
 
 
+SCORE_CHUNK = 1024   # lists per forward pass; bounds the activation peak
+
+
 def scores_for_lists(list_ids: np.ndarray, e_user: np.ndarray,
                      params: EvaluatorParams) -> tuple[np.ndarray, np.ndarray]:
-    """Inference scores for (K, m, F) lists with matching (K, D) user vectors."""
-    with no_grad():
-        pctr, pcvr = predict_graph(list_ids, ad.constant(e_user), params)
-    return pctr.value, pcvr.value
+    """Inference scores for (K, m, F) lists with matching (K, D) user vectors.
 
-
-def predict_batch(records: list[InteractionRecord], params: EvaluatorParams,
-                  batch: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of each record's exposed list, (N, m) each."""
-    n = len(records)
-    m = params.dims.list_size
-    pctr = np.empty((n, m))
-    pcvr = np.empty((n, m))
+    Every inference path scores through here. Lists go through the network
+    SCORE_CHUNK at a time, so memory stays bounded for any K; each list's
+    scores do not depend on the chunking.
+    """
+    pctr = np.empty(list_ids.shape[:2])
+    pcvr = np.empty(list_ids.shape[:2])
     with no_grad():
-        for start in range(0, n, batch):
-            block = records[start : start + batch]
-            sess = np.stack([r.session_ids for r in block])
-            exposed = np.stack([r.exposed_ids for r in block])
-            e_user = encode_sessions(sess, params)
-            p, v = predict_graph(exposed, e_user, params)
-            pctr[start : start + len(block)] = p.value
-            pcvr[start : start + len(block)] = v.value
+        for start in range(0, len(list_ids), SCORE_CHUNK):
+            blk = slice(start, start + SCORE_CHUNK)
+            p, v = predict_graph(list_ids[blk], ad.constant(e_user[blk]), params)
+            pctr[blk], pcvr[blk] = p.value, v.value
     return pctr, pcvr
-
-
-def predict_list(exposed_ids: np.ndarray, session_ids: np.ndarray,
-                 params: EvaluatorParams) -> ListScores:
-    """Scores for a single list given its user history."""
-    pctr, pcvr = scores_from_sessions(exposed_ids[None, ...], session_ids[None, ...], params)
-    return ListScores(pctr=pctr[0], pcvr=pcvr[0])
-
-
-def scores_from_sessions(exposed_ids: np.ndarray, session_ids: np.ndarray,
-                         params: EvaluatorParams) -> tuple[np.ndarray, np.ndarray]:
-    with no_grad():
-        e_user = encode_sessions(session_ids, params)
-        pctr, pcvr = predict_graph(exposed_ids, e_user, params)
-    return pctr.value, pcvr.value
 
 
 _CLAMP = 1e-12
@@ -346,7 +325,8 @@ def _metric_row(pctr: np.ndarray, records: list[InteractionRecord]) -> dict:
 
 
 def evaluate_metrics(records: list[InteractionRecord], params: EvaluatorParams) -> dict:
-    pctr, _ = predict_batch(records, params)
+    exposed = np.stack([r.exposed_ids for r in records])
+    pctr, _ = scores_for_lists(exposed, user_vectors(records, params), params)
     return _metric_row(pctr, records)
 
 

@@ -1,16 +1,16 @@
-"""Ranking metrics and the exhaustive permutation oracle.
+"""Ranking metrics and the permutation space behind the exhaustive oracle.
 
 AUC / log loss / NDCG score per-item predictions against labels. The
 permutation utilities enumerate every ordered m-selection from n candidates
-(lexicographic order over candidate indices), which lets a frozen list scorer
-rank any proposed list against the full combinatorial space. Hit ratio at a
-percentage is then "did the proposed list land in the top slice".
+(lexicographic order over candidate indices), which lets the oracle in
+`pipeline` rank any proposed list against the full combinatorial space. Hit
+ratio at a percentage is then "did the proposed list land in the top slice".
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -125,22 +125,6 @@ def mean_ignoring_undefined(values: Iterable[float]) -> float:
     return float(arr.mean()) if arr.size else float("nan")
 
 
-def exhaustive_scores(space: PermutationSpace,
-                      score_lists: Callable[[np.ndarray], np.ndarray],
-                      chunk: int = 4096) -> np.ndarray:
-    """Score every selection in enumeration order; returns (count,) floats.
-
-    `score_lists` maps a (k, m) int array of candidate-index lists to k list
-    scores and is called in bounded chunks.
-    """
-    perms = space.as_array()
-    out = np.empty(len(perms), dtype=np.float64)
-    for start in range(0, len(perms), chunk):
-        block = perms[start : start + chunk]
-        out[start : start + len(block)] = score_lists(block)
-    return out
-
-
 def rank_in_scores(scores: np.ndarray, index: int) -> int:
     """1-based rank of entry `index` under descending score.
 
@@ -151,19 +135,6 @@ def rank_in_scores(scores: np.ndarray, index: int) -> int:
     better = int(np.count_nonzero(scores > s))
     tied_before = int(np.count_nonzero(scores[:index] == s))
     return better + tied_before + 1
-
-
-def oracle_rank(list_perm: Sequence[int], space: PermutationSpace,
-                score_lists: Callable[[np.ndarray], np.ndarray],
-                cap: int = 20_000) -> int:
-    """Rank one list against every permutation, scored by the same scorer."""
-    if space.count > cap:
-        raise MetricError(
-            f"permutation space of size {space.count} exceeds enumeration cap {cap}; "
-            "sampled ranking is out of scope"
-        )
-    scores = exhaustive_scores(space, score_lists)
-    return rank_in_scores(scores, space.index(list_perm))
 
 
 def hit_cutoff(count: int, pct: float) -> int:

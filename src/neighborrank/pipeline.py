@@ -7,7 +7,7 @@ several rerankers costs one enumeration per record.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,38 +15,11 @@ import numpy as np
 from .datagen import InteractionRecord
 from .evaluator import EvaluatorParams, scores_for_lists, user_vectors
 from .generator import GeneratorParams, GenerationTrace, GumbelConfig, generate
-from .metrics import PermutationSpace, hit_ratio, rank_in_scores
+from .metrics import MetricError, PermutationSpace, greedy_order, hit_ratio, rank_in_scores
 from .rng import RngStream
 from .trainer import RewardConfig, list_reward
 
-
-def parallel_ordered_map(fn, items, threads: int = 1) -> list:
-    """Map preserving input order; thread count never changes the result."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-class ListScorer:
-    """Shaped list reward of candidate-index lists under a frozen evaluator."""
-
-    def __init__(self, eval_params: EvaluatorParams, reward_cfg: RewardConfig):
-        self.eval_params = eval_params
-        self.reward_cfg = reward_cfg
-
-    def rewards(self, record: InteractionRecord, lists: np.ndarray,
-                e_user: np.ndarray) -> np.ndarray:
-        """lists: (K, m) candidate indices for one record; returns (K,) rewards."""
-        ids = record.candidate_ids[lists]
-        e_rep = np.broadcast_to(e_user, (len(lists), e_user.shape[-1]))
-        out = np.empty(len(lists))
-        chunk = 4096
-        for s in range(0, len(lists), chunk):
-            blk = slice(s, min(s + chunk, len(lists)))
-            pctr, pcvr = scores_for_lists(ids[blk], e_rep[blk], self.eval_params)
-            out[blk] = list_reward(pctr, pcvr, self.reward_cfg)
-        return out
+ORACLE_CAP = 20_000   # largest permutation space the oracle enumerates
 
 
 @dataclass
@@ -57,31 +30,34 @@ class OracleTable:
     scores: np.ndarray
 
     def rank(self, perm) -> int:
+        """1-based rank of one list; ties go to the earlier enumerated list."""
         return rank_in_scores(self.scores, self.space.index(perm))
 
 
-def oracle_table(record: InteractionRecord, scorer: ListScorer,
-                 e_user: np.ndarray, cap: int = 20_000) -> OracleTable:
-    dims = scorer.eval_params.dims
+def oracle_table(record: InteractionRecord, eval_params: EvaluatorParams,
+                 reward_cfg: RewardConfig, e_user: np.ndarray) -> OracleTable:
+    """Shaped reward of every ordered slate drawn from the record's candidates."""
+    dims = eval_params.dims
     space = PermutationSpace(dims.num_candidates, dims.list_size)
-    if space.count > cap:
-        raise ValueError(f"permutation space {space.count} exceeds cap {cap}")
+    if space.count > ORACLE_CAP:
+        raise MetricError(f"permutation space of size {space.count} exceeds enumeration "
+                          f"cap {ORACLE_CAP}; sampled ranking is out of scope")
     perms = space.as_array()
-    scores = scorer.rewards(record, perms, e_user)
-    return OracleTable(space=space, scores=scores)
+    e_rep = np.broadcast_to(e_user, (len(perms), e_user.shape[-1]))
+    pctr, pcvr = scores_for_lists(record.candidate_ids[perms], e_rep, eval_params)
+    return OracleTable(space=space, scores=list_reward(pctr, pcvr, reward_cfg))
 
 
 def random_list(space: PermutationSpace, rng: RngStream) -> tuple[int, ...]:
     return tuple(int(i) for i in rng.permutation(space.n)[: space.m])
 
 
-def greedy_rerank_record(record: InteractionRecord, eval_params: EvaluatorParams,
-                         e_user: np.ndarray) -> tuple[int, ...]:
-    """Score the logged list once, then reorder its slots by descending pCTR."""
-    pctr, _ = scores_for_lists(record.exposed_ids[None, ...],
-                               e_user.reshape(1, -1), eval_params)
-    order = np.argsort(-pctr[0], kind="mergesort")
-    return tuple(int(i) for i in record.exposed[order])
+def greedy_rerank(records: list[InteractionRecord], eval_params: EvaluatorParams,
+                  e_user: np.ndarray) -> list[tuple[int, ...]]:
+    """Score each logged list once, then reorder its slots by descending pCTR."""
+    pctr, _ = scores_for_lists(np.stack([r.exposed_ids for r in records]), e_user, eval_params)
+    return [tuple(int(i) for i in rec.exposed[order])
+            for rec, order in zip(records, greedy_order(pctr))]
 
 
 @dataclass
@@ -99,85 +75,67 @@ def evaluate_rerankers(records: list[InteractionRecord],
                        reward_cfg: RewardConfig,
                        lists_by_model: dict[str, list[tuple[int, ...]]],
                        pcts: tuple[float, ...] = (10.0, 1.0),
-                       threads: int = 1,
-                       cap: int = 20_000,
                        e_user_cache: np.ndarray | None = None,
                        tables: list[OracleTable] | None = None) -> HrReport:
     """Rank each model's proposed list per record against the full space."""
-    scorer = ListScorer(eval_params, reward_cfg)
     if e_user_cache is None:
         e_user_cache = user_vectors(records, eval_params)
-
-    def ranks_for(i: int) -> dict[str, tuple[int, float]]:
+    ranks: dict[str, list[int]] = {model: [] for model in lists_by_model}
+    rewards: dict[str, list[float]] = {model: [] for model in lists_by_model}
+    for i, record in enumerate(records):
         table = tables[i] if tables is not None else oracle_table(
-            records[i], scorer, e_user_cache[i], cap)
-        out = {}
+            record, eval_params, reward_cfg, e_user_cache[i])
         for model, lists in lists_by_model.items():
             idx = table.space.index(lists[i])
-            out[model] = (rank_in_scores(table.scores, idx), float(table.scores[idx]))
-        return out
+            ranks[model].append(rank_in_scores(table.scores, idx))
+            rewards[model].append(float(table.scores[idx]))
 
-    per_record = parallel_ordered_map(ranks_for, range(len(records)), threads)
     space = PermutationSpace(eval_params.dims.num_candidates, eval_params.dims.list_size)
-    report = HrReport(hr={}, mean_reward={}, count=space.count)
+    report = HrReport(hr={}, mean_reward={}, ranks=ranks, count=space.count)
     for model in lists_by_model:
-        ranks = [row[model][0] for row in per_record]
-        rewards = [row[model][1] for row in per_record]
-        report.ranks[model] = ranks
-        report.mean_reward[model] = float(np.mean(rewards)) if rewards else float("nan")
-        report.hr[model] = {pct: hit_ratio(ranks, space.count, pct) for pct in pcts}
+        report.mean_reward[model] = (float(np.mean(rewards[model])) if rewards[model]
+                                     else float("nan"))
+        report.hr[model] = {pct: hit_ratio(ranks[model], space.count, pct) for pct in pcts}
     return report
 
 
 def build_oracle_tables(records: list[InteractionRecord], eval_params: EvaluatorParams,
-                        reward_cfg: RewardConfig, threads: int = 1,
-                        cap: int = 20_000,
+                        reward_cfg: RewardConfig,
                         e_user_cache: np.ndarray | None = None) -> list[OracleTable]:
     """Precompute per-record permutation tables (reusable across rerankers)."""
-    scorer = ListScorer(eval_params, reward_cfg)
     if e_user_cache is None:
         e_user_cache = user_vectors(records, eval_params)
-    return parallel_ordered_map(
-        lambda i: oracle_table(records[i], scorer, e_user_cache[i], cap),
-        range(len(records)), threads)
+    return [oracle_table(rec, eval_params, reward_cfg, e_user_cache[i])
+            for i, rec in enumerate(records)]
 
 
 def rerank_records(records: list[InteractionRecord], gp: GeneratorParams,
-                   cfg: GumbelConfig, threads: int = 1,
-                   e_user_cache: np.ndarray | None = None
+                   cfg: GumbelConfig, e_user_cache: np.ndarray | None = None
                    ) -> tuple[list[tuple[int, ...]], list[GenerationTrace]]:
     """Run the generator walk on every record (noise off: deterministic)."""
-    inference_cfg = GumbelConfig(tau=cfg.tau, noise=False, theta_p=cfg.theta_p,
-                                 theta_c=cfg.theta_c, max_steps=cfg.max_steps)
+    inference_cfg = dataclasses.replace(cfg, noise=False)
     if e_user_cache is None:
         e_user_cache = user_vectors(records, gp.shared)
-
-    def one(i: int):
-        rec = records[i]
-        return generate(tuple(int(x) for x in rec.exposed), rec.candidate_ids,
-                        rec.session_ids, gp, inference_cfg, e_user=e_user_cache[i])
-
-    results = parallel_ordered_map(one, range(len(records)), threads)
-    finals = [r[0] for r in results]
-    traces = [r[1] for r in results]
+    finals, traces = [], []
+    for rec, e_user in zip(records, e_user_cache):
+        final, trace = generate(tuple(int(x) for x in rec.exposed), rec.candidate_ids,
+                                rec.session_ids, gp, inference_cfg, e_user=e_user)
+        finals.append(final)
+        traces.append(trace)
     return finals, traces
 
 
 def baseline_lists(records: list[InteractionRecord], eval_params: EvaluatorParams,
-                   seed: int, e_user_cache: np.ndarray | None = None,
-                   threads: int = 1) -> dict[str, list[tuple[int, ...]]]:
+                   seed: int, e_user_cache: np.ndarray | None = None
+                   ) -> dict[str, list[tuple[int, ...]]]:
     """Input, random and greedy rerankers for a record set."""
     dims = eval_params.dims
     space = PermutationSpace(dims.num_candidates, dims.list_size)
     if e_user_cache is None:
         e_user_cache = user_vectors(records, eval_params)
     rng = RngStream(seed).split("random-baseline")
-    random_lists = [random_list(space, rng.split(i)) for i in range(len(records))]
-    greedy = parallel_ordered_map(
-        lambda i: greedy_rerank_record(records[i], eval_params, e_user_cache[i]),
-        range(len(records)), threads)
     return {
         "input": [tuple(int(x) for x in r.exposed) for r in records],
-        "random": random_lists,
-        "greedy": greedy,
+        "random": [random_list(space, rng.split(i)) for i in range(len(records))],
+        "greedy": greedy_rerank(records, eval_params, e_user_cache),
     }

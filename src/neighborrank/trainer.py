@@ -99,14 +99,11 @@ class NeighborReward:
     position: int
     candidate: int
     neighbor: tuple[int, ...]
-    shaped: float | None = None
-    relative: float | None = None
 
 
 @dataclass
 class NeighborSet:
     origin: tuple[int, ...]
-    origin_reward: float | None
     samples: list[NeighborReward] = field(default_factory=list)
 
 
@@ -143,7 +140,7 @@ def build_neighbors(list_idx, num_candidates: int, beta: float, rng: RngStream) 
     if len(set(origin)) != m:
         raise ValueError(f"origin list has duplicates: {origin}")
     reps = 1 if beta < 1 else int(beta)
-    out = NeighborSet(origin=origin, origin_reward=None)
+    out = NeighborSet(origin=origin)
     for j in sampled_positions(m, beta, rng):
         pool = replacement_pool(origin, j, num_candidates)
         for _ in range(reps):
@@ -248,20 +245,8 @@ class _TrainCache:
                 _, e_list = list_attention(x, ev)
                 self.list_flat[blk] = x.value.reshape(size, dims.list_size, dims.flat_dim)
                 self.e_list[blk] = e_list.value
-        exp_pctr, exp_pcvr = self._score_lists(ev, records)
-        self.exposed_pctr = exp_pctr
-        self.exposed_pcvr = exp_pcvr
-
-    def _score_lists(self, ev: EvaluatorParams, records):
-        ids = np.stack([r.exposed_ids for r in records])
-        out_p = np.empty(ids.shape[:2])
-        out_v = np.empty(ids.shape[:2])
-        batch = 512
-        for s in range(0, len(records), batch):
-            blk = slice(s, min(s + batch, len(records)))
-            p, v = scores_for_lists(ids[blk], self.e_user[blk], ev)
-            out_p[blk], out_v[blk] = p, v
-        return out_p, out_v
+        self.exposed_pctr, self.exposed_pcvr = scores_for_lists(
+            np.stack([r.exposed_ids for r in records]), self.e_user, ev)
 
 
 def train_generator(train_records: list[InteractionRecord],
@@ -371,7 +356,7 @@ def _batch_rewards(cache: _TrainCache, origin_rewards: np.ndarray, idx: np.ndarr
         # user vector per sample follows its record
         rows = np.array([r for r, _, _ in sample_refs])
         e_user_rep = cache.e_user[idx][rows]
-        pctr, pcvr = _chunked_scores(stacked, e_user_rep, eval_params)
+        pctr, pcvr = scores_for_lists(stacked, e_user_rep, eval_params)
         shaped = list_reward(pctr, pcvr, reward_cfg)
         for (row, j, k), value in zip(sample_refs, shaped):
             rec_i = idx[row]
@@ -381,16 +366,6 @@ def _batch_rewards(cache: _TrainCache, origin_rewards: np.ndarray, idx: np.ndarr
             pos_cnt[row, j] += 1
     pos_rewards = np.divide(pos_sum, pos_cnt, out=np.zeros_like(pos_sum), where=pos_cnt > 0)
     return rewards, pos_rewards, pdu_noise, cru_noise
-
-
-def _chunked_scores(list_ids: np.ndarray, e_user: np.ndarray,
-                    eval_params: EvaluatorParams, chunk: int = 1024):
-    pctr = np.empty(list_ids.shape[:2])
-    pcvr = np.empty(list_ids.shape[:2])
-    for s in range(0, len(list_ids), chunk):
-        blk = slice(s, min(s + chunk, len(list_ids)))
-        pctr[blk], pcvr[blk] = scores_for_lists(list_ids[blk], e_user[blk], eval_params)
-    return pctr, pcvr
 
 
 def _batch_forward(cache: _TrainCache, idx: np.ndarray, gp: GeneratorParams,

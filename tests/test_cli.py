@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -170,25 +171,6 @@ class TestSweep:
         ref = (out / "value_0" / "eval.ckpt").read_bytes()
         assert (out / "value_1.0" / "eval.ckpt").read_bytes() == ref
 
-    def test_threads_do_not_change_sweep_outputs(self, tmp_path):
-        # threaded benchmarking of one value must not stop the next value's
-        # generator from training
-        base = json.loads(json.dumps(TINY))
-        base["paths"] = {"out_dir": str(tmp_path / "unused")}
-        values = [0.1, 0.5]
-        spec = {"version": 1, "param": "training.alpha", "values": values, "base": base}
-        spec_path = tmp_path / "sweep_threads.json"
-        spec_path.write_text(json.dumps(spec))
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads_{threads}"
-            assert main(["sweep", "--config", str(spec_path), "--out", str(out),
-                         "--threads", threads]) == 0
-        for v in values:
-            for name in ("gen.ckpt", "report.csv"):
-                one = (tmp_path / "threads_1" / f"value_{v}" / name).read_bytes()
-                two = (tmp_path / "threads_2" / f"value_{v}" / name).read_bytes()
-                assert one == two, (v, name)
-
     def test_bad_sweep_param_is_3(self, tmp_path):
         base = json.loads(json.dumps(TINY))
         base["paths"] = {"out_dir": str(tmp_path / "unused")}
@@ -196,3 +178,38 @@ class TestSweep:
         spec_path = tmp_path / "sweep_bad.json"
         spec_path.write_text(json.dumps(spec))
         assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param({"param": "training.alpha", "values": []}, id="empty-values"),
+        pytest.param({"param": "training.alpha", "values": 0.5}, id="values-not-a-list"),
+        pytest.param({"param": 5, "values": [1]}, id="param-not-a-string"),
+        pytest.param({"param": "training.alpha", "values": [0.1, "high"]}, id="bad-value-type"),
+        pytest.param({"param": "training.alpha", "values": [0.1, -1]}, id="invalid-value"),
+        pytest.param("{not json", id="invalid-json"),
+        pytest.param([1, 2], id="not-an-object"),
+    ])
+    def test_malformed_sweep_spec_is_3(self, tmp_path, spec):
+        base = json.loads(json.dumps(TINY))
+        base["paths"] = {"out_dir": str(tmp_path / "unused")}
+        if isinstance(spec, dict):
+            spec = {"version": 1, "base": base, **spec}
+        spec_path = tmp_path / "sweep_malformed.json"
+        spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 3
+        assert not (out / "dataset.jsonl").exists()  # rejected before any stage ran
+
+
+class TestSingleThreaded:
+    def test_rerank_and_bench_start_no_threads(self, pipeline_run, monkeypatch):
+        cfg_path, out = pipeline_run
+        before = {name: (out / name).read_bytes() for name in ("trace.jsonl", "report.csv")}
+
+        def refuse(self):
+            raise AssertionError(f"thread started: {self!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for cmd in ("rerank", "bench"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name

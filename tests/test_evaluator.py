@@ -132,12 +132,17 @@ class TestSessionEncoder:
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
+def session_scores(list_ids, session_ids, params):
+    """Scores of lists for the users behind the given session histories."""
+    return ev.scores_for_lists(list_ids, ev.encode_sessions(session_ids, params).value, params)
+
+
 class TestPredict:
     def test_outputs_in_unit_interval(self):
         params = make_params()
         ids = rand_ids(2, (3, 3), params.dims)
         sess = rand_ids(3, (3, 2, 3), params.dims)
-        pctr, pcvr = ev.scores_from_sessions(ids, sess, params)
+        pctr, pcvr = session_scores(ids, sess, params)
         assert pctr.shape == (3, 3)
         assert ((pctr > 0) & (pctr < 1)).all()
         assert ((pcvr > 0) & (pcvr < 1)).all()
@@ -149,22 +154,32 @@ class TestPredict:
                 params.ps[name].value = np.zeros_like(params.ps[name].value)
         ids = rand_ids(2, (1, 3), params.dims)
         sess = rand_ids(3, (1, 2, 3), params.dims)
-        pctr, pcvr = ev.scores_from_sessions(ids, sess, params)
+        pctr, pcvr = session_scores(ids, sess, params)
         assert np.allclose(pctr, 0.5) and np.allclose(pcvr, 0.5)
 
     def test_oov_id_rejected(self):
         params = make_params()
         ids = np.array([[[50, 0, 0], [1, 1, 1], [2, 2, 2]]])
-        sess = np.zeros((1, 2, 3, 3), dtype=int)
         with pytest.raises(ad.VocabError):
-            ev.scores_from_sessions(ids, sess, params)
+            ev.scores_for_lists(ids, np.zeros((1, params.dims.embed_dim)), params)
 
     def test_predict_list_single(self):
         params = make_params()
-        ids = rand_ids(4, (3,), params.dims)
-        sess = rand_ids(5, (2, 3), params.dims)
-        scores = ev.predict_list(ids, sess, params)
-        assert scores.pctr.shape == (3,)
+        ids = rand_ids(4, (1, 3), params.dims)
+        sess = rand_ids(5, (1, 2, 3), params.dims)
+        pctr, pcvr = session_scores(ids, sess, params)
+        assert pctr.shape == (1, 3) and pcvr.shape == (1, 3)
+
+    def test_whole_set_equals_one_list_at_a_time(self):
+        # more lists than one chunk, so a chunk boundary is crossed
+        params = make_params(seed=9)
+        k = ev.SCORE_CHUNK + 37
+        ids = rand_ids(6, (k, 3), params.dims)
+        e_user = RngStream(7).normal((k, params.dims.embed_dim))
+        pctr, pcvr = ev.scores_for_lists(ids, e_user, params)
+        for i in range(k):
+            p1, v1 = ev.scores_for_lists(ids[i : i + 1], e_user[i : i + 1], params)
+            assert np.array_equal(p1[0], pctr[i]) and np.array_equal(v1[0], pcvr[i]), i
 
     def test_wrong_list_length_rejected(self):
         params = make_params()
@@ -291,8 +306,9 @@ class TestTraining:
         ids = rec.exposed_ids.copy()
         swapped = ids.copy()
         swapped[[0, 2]] = swapped[[2, 0]]
-        base, _ = ev.scores_from_sessions(ids[None], rec.session_ids[None], params)
-        after, _ = ev.scores_from_sessions(swapped[None], rec.session_ids[None], params)
+        e_user = ev.user_vectors([rec], params)
+        base, _ = ev.scores_for_lists(ids[None], e_user, params)
+        after, _ = ev.scores_for_lists(swapped[None], e_user, params)
         assert abs(base[0, 0] - after[0, 0]) > 1e-6
         assert abs(base[0, 2] - after[0, 2]) > 1e-6
 

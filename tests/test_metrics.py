@@ -6,22 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neighborrank import evaluator as ev
 from neighborrank import metrics
+from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.metrics import (
     MetricError,
     PermutationSpace,
     auc,
     enumerate_permutations,
-    exhaustive_scores,
     greedy_order,
     hit_cutoff,
     hit_ratio,
     log_loss,
     ndcg_at_k,
-    oracle_rank,
     rank_in_scores,
 )
+from neighborrank.pipeline import OracleTable, oracle_table
 from neighborrank.rng import RngStream
+from neighborrank.trainer import RewardConfig
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -125,6 +127,19 @@ class TestLogLoss:
         assert np.isfinite(log_loss([0.0, 1.0], [1, 0]))
 
 
+def oracle_inputs(num_candidates: int, list_size: int):
+    """One simulated record and a randomly initialised evaluator for it."""
+    cfg = DataConfig(seed=3, num_items=30, num_categories=4, num_brands=5, num_users=10,
+                     num_records=2, num_candidates=num_candidates, list_size=list_size)
+    record = generate_records(cfg)[0]
+    dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
+                        brand_vocab=cfg.num_brands, list_size=list_size,
+                        num_candidates=num_candidates, history_sessions=cfg.history_sessions,
+                        embed_dim=4, mlp_hidden=(8,))
+    params = ev.EvaluatorParams.init(dims, RngStream(5), std=0.5)
+    return record, params, ev.user_vectors([record], params)[0]
+
+
 class TestOracleRank:
     def test_hand_sorted_table(self):
         # n=3, m=2: six lists, scored by a hand-set table
@@ -133,37 +148,35 @@ class TestOracleRank:
             (0, 1): 0.9, (0, 2): 0.4, (1, 0): 0.7,
             (1, 2): 0.4, (2, 0): 0.1, (2, 1): 0.95,
         }
-        score_fn = lambda block: np.array([table[tuple(row)] for row in block])
-        assert oracle_rank((2, 1), space, score_fn) == 1
-        assert oracle_rank((0, 1), space, score_fn) == 2
-        assert oracle_rank((1, 0), space, score_fn) == 3
+        oracle = OracleTable(space, np.array([table[perm] for perm in space]))
+        assert oracle.rank((2, 1)) == 1
+        assert oracle.rank((0, 1)) == 2
+        assert oracle.rank((1, 0)) == 3
         # (0,2) and (1,2) tie at 0.4; (0,2) enumerates first so wins the tie
-        assert oracle_rank((0, 2), space, score_fn) == 4
-        assert oracle_rank((1, 2), space, score_fn) == 5
-        assert oracle_rank((2, 0), space, score_fn) == 6
+        assert oracle.rank((0, 2)) == 4
+        assert oracle.rank((1, 2)) == 5
+        assert oracle.rank((2, 0)) == 6
 
     def test_argmax_is_rank_one_and_min_is_last(self):
-        rng = RngStream(31)
-        space = enumerate_permutations(5, 3)
-        values = rng.uniform((space.count,))
-        score_fn = lambda block: np.array([values[space.index(tuple(r))] for r in block])
-        scores = exhaustive_scores(space, score_fn)
-        best = list(space)[int(np.argmax(scores))]
-        worst = list(space)[int(np.argmin(scores))]
-        assert oracle_rank(best, space, score_fn) == 1
-        assert oracle_rank(worst, space, score_fn) == space.count
+        record, params, e_user = oracle_inputs(5, 3)
+        oracle = oracle_table(record, params, RewardConfig(), e_user)
+        assert len(oracle.scores) == oracle.space.count == 60
+        assert len(set(oracle.scores.tolist())) > 1
+        perms = list(oracle.space)
+        assert oracle.rank(perms[int(np.argmax(oracle.scores))]) == 1
+        assert oracle.rank(perms[int(np.argmin(oracle.scores))]) == oracle.space.count
 
     def test_rank_deterministic(self):
-        space = enumerate_permutations(4, 2)
-        score_fn = lambda block: block[:, 0].astype(float)
-        r1 = oracle_rank((2, 1), space, score_fn)
-        r2 = oracle_rank((2, 1), space, score_fn)
-        assert r1 == r2
+        record, params, e_user = oracle_inputs(4, 2)
+        first = oracle_table(record, params, RewardConfig(), e_user)
+        second = oracle_table(record, params, RewardConfig(), e_user)
+        assert np.array_equal(first.scores, second.scores)
+        assert first.rank((2, 1)) == second.rank((2, 1))
 
     def test_cap_enforced(self):
-        space = enumerate_permutations(12, 5)  # 95,040 > 20,000
+        record, params, e_user = oracle_inputs(12, 5)  # 95,040 > 20,000
         with pytest.raises(MetricError, match="cap"):
-            oracle_rank(tuple(range(5)), space, lambda b: np.zeros(len(b)))
+            oracle_table(record, params, RewardConfig(), e_user)
 
 
 class TestHitRatio:

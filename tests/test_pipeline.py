@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,19 +46,18 @@ def test_greedy_sits_between_random_and_oracle(setup):
 
 
 def test_greedy_output_is_permutation_of_input(setup):
-    rec = setup["test"][0]
-    out = pl.greedy_rerank_record(rec, setup["eval_params"], setup["e_user"][0])
-    assert sorted(out) == sorted(int(x) for x in rec.exposed)
+    test = setup["test"][:50]
+    out = pl.greedy_rerank(test, setup["eval_params"], setup["e_user"][:50])
+    for rec, lst in zip(test, out):
+        assert sorted(lst) == sorted(int(x) for x in rec.exposed)
 
 
 def test_greedy_sorted_input_unchanged(setup):
     rec = setup["test"][0]
-    e_user = setup["e_user"][0]
-    once = pl.greedy_rerank_record(rec, setup["eval_params"], e_user)
-    import dataclasses
-
+    e_user = setup["e_user"][:1]
+    [once] = pl.greedy_rerank([rec], setup["eval_params"], e_user)
     reordered = dataclasses.replace(rec, exposed=np.asarray(once, dtype=np.int64))
-    twice = pl.greedy_rerank_record(reordered, setup["eval_params"], e_user)
+    [twice] = pl.greedy_rerank([reordered], setup["eval_params"], e_user)
     assert twice == once
 
 
@@ -69,31 +70,14 @@ def test_oracle_table_extremes(setup):
     assert table.rank(worst) == table.space.count
 
 
-def test_thread_count_does_not_change_results(setup):
+def test_training_after_pipeline_still_learns(setup, monkeypatch):
+    # reranking and oracle tables run inside no_grad(); afterwards the
+    # evaluator must still train
     test = setup["test"][:60]
     gcfg = GumbelConfig(tau=0.3, noise=False)
-    lists1, traces1 = pl.rerank_records(test, setup["gp"], gcfg, threads=1,
-                                        e_user_cache=setup["e_user"][:60])
-    lists4, traces4 = pl.rerank_records(test, setup["gp"], gcfg, threads=4,
-                                        e_user_cache=setup["e_user"][:60])
-    assert lists1 == lists4
-    t1 = pl.build_oracle_tables(test, setup["eval_params"], setup["reward_cfg"],
-                                threads=1, e_user_cache=setup["e_user"][:60])
-    t4 = pl.build_oracle_tables(test, setup["eval_params"], setup["reward_cfg"],
-                                threads=4, e_user_cache=setup["e_user"][:60])
-    for a, b in zip(t1, t4):
-        assert np.array_equal(a.scores, b.scores)
-
-
-def test_training_after_threaded_pipeline_still_learns(setup, monkeypatch):
-    # threaded evaluation runs no_grad() blocks on several threads at once;
-    # afterwards the evaluator must still train on this thread
-    test = setup["test"][:60]
-    gcfg = GumbelConfig(tau=0.3, noise=False)
-    pl.rerank_records(test, setup["gp"], gcfg, threads=4,
-                      e_user_cache=setup["e_user"][:60])
+    pl.rerank_records(test, setup["gp"], gcfg, e_user_cache=setup["e_user"][:60])
     pl.build_oracle_tables(test, setup["eval_params"], setup["reward_cfg"],
-                           threads=4, e_user_cache=setup["e_user"][:60])
+                           e_user_cache=setup["e_user"][:60])
 
     initial = {}
     real_init = ev.EvaluatorParams.init
@@ -134,12 +118,6 @@ def test_random_list_is_valid_selection():
         assert len(perm) == 4
         assert len(set(perm)) == 4
         assert all(0 <= p < 7 for p in perm)
-
-
-def test_parallel_ordered_map_preserves_order():
-    items = list(range(100))
-    assert pl.parallel_ordered_map(lambda x: x * x, items, threads=1) == \
-           pl.parallel_ordered_map(lambda x: x * x, items, threads=8)
 
 
 def test_hr_report_structure(setup):
