@@ -150,7 +150,11 @@ def load_config(path) -> Config:
 
 
 def config_hash(cfg: Config) -> str:
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    """sha256 of every section that shapes results; `paths` is left out, so
+    one config run into two directories hashes the same."""
+    payload = cfg.to_dict()
+    del payload["paths"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +76,7 @@ class GroundTruthModel:
     conversion_intercept: float
     seed: int
     quality_scale: float = 1.0
+    _affinity_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         diffs = np.diff(self.position_bias)
@@ -83,8 +84,15 @@ class GroundTruthModel:
             raise ValueError("position_bias must be strictly decreasing")
 
     def affinity(self, user_id: int) -> np.ndarray:
-        stream = RngStream(self.seed).split("affinity", int(user_id))
-        return stream.normal((self.catalog.num_categories,)) * self.affinity_sigma
+        """Per-category affinity of one user; drawn once, then served read-only."""
+        user_id = int(user_id)
+        aff = self._affinity_cache.get(user_id)
+        if aff is None:
+            stream = RngStream(self.seed).split("affinity", user_id)
+            aff = stream.normal((self.catalog.num_categories,)) * self.affinity_sigma
+            aff.flags.writeable = False
+            self._affinity_cache[user_id] = aff
+        return aff
 
     def quality(self, item_ids) -> np.ndarray:
         return self.catalog.quality[np.asarray(item_ids)] * self.quality_scale
@@ -96,9 +104,8 @@ class GroundTruthModel:
         aff = self.affinity(user_id)[cats]
         qual = self.quality(item_ids)
         m = len(item_ids)
-        dup = np.zeros(m)
-        for j in range(1, m):
-            dup[j] = np.count_nonzero(cats[:j] == cats[j])
+        # earlier items sharing each slot's category
+        dup = np.tril(cats[:, None] == cats[None, :], k=-1).sum(axis=1).astype(np.float64)
         logits = qual + aff + self.position_bias[:m] - self.cannibalization * dup
         return 0.5 * (1.0 + np.tanh(0.5 * logits))
 
@@ -186,9 +193,10 @@ def _sample_labels(model: GroundTruthModel, item_ids: np.ndarray, user_id: int,
                    rs: RngStream) -> tuple[np.ndarray, np.ndarray]:
     probs = model.list_click_probs(item_ids, user_id)
     clicks = (rs.uniform((len(item_ids),)) < probs).astype(np.int64)
+    clicked = np.flatnonzero(clicks)
+    conv_probs = [model.conversion_prob(int(item_ids[j]), user_id) for j in clicked]
     convs = np.zeros(len(item_ids), dtype=np.int64)
-    for j in np.flatnonzero(clicks):
-        convs[j] = int(rs.uniform() < model.conversion_prob(int(item_ids[j]), user_id))
+    convs[clicked] = rs.uniform((len(clicked),)) < conv_probs
     return clicks, convs
 
 

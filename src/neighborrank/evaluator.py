@@ -22,7 +22,7 @@ from .autodiff import Tensor, no_grad
 from .checkpoint import load_arrays, save_arrays
 from .datagen import InteractionRecord
 from .optim import Adam, raise_if_unchanged
-from .params import ParamSet
+from .params import Layout, ParamSet
 from .rng import RngStream
 
 logger = logging.getLogger(__name__)
@@ -96,6 +96,23 @@ class ListScores:
     pcvr: np.ndarray
 
 
+def _layout(dims: ModelDims) -> Layout:
+    d = dims.embed_dim
+    layout = [(f"embed.{name}", (vocab, d), True) for name, vocab in
+              zip(FIELD_NAMES, (dims.item_vocab, dims.cat_vocab, dims.brand_vocab))]
+    for i in range(dims.num_fields):
+        layout += [(f"attn.q.{i}", (d, d), True), (f"attn.k.{i}", (d, d), True)]
+    layout += [(name, (d, d), True) for name in ("attn.v", "sess.q", "sess.k", "sess.v")]
+    layout.append(("pos", (dims.list_size, d), True))
+    prev = dims.mlp_input
+    for li, width in enumerate(dims.mlp_hidden):
+        layout += [(f"mlp.{li}.w", (prev, width), True), (f"mlp.{li}.b", (width,), False)]
+        prev = width
+    for head in ("ctr", "cvr"):
+        layout += [(f"head.{head}.w", (prev, 1), True), (f"head.{head}.b", (1,), False)]
+    return layout
+
+
 class EvaluatorParams:
     """All evaluator weights; also the shared trunk the generator reuses."""
 
@@ -105,27 +122,7 @@ class EvaluatorParams:
 
     @classmethod
     def init(cls, dims: ModelDims, rng: RngStream, std: float = 0.01) -> "EvaluatorParams":
-        d = dims.embed_dim
-        ps = ParamSet()
-        ps.add_normal("embed.item", (dims.item_vocab, d), rng, std)
-        ps.add_normal("embed.cat", (dims.cat_vocab, d), rng, std)
-        ps.add_normal("embed.brand", (dims.brand_vocab, d), rng, std)
-        for i in range(dims.num_fields):
-            ps.add_normal(f"attn.q.{i}", (d, d), rng, std)
-            ps.add_normal(f"attn.k.{i}", (d, d), rng, std)
-        ps.add_normal("attn.v", (d, d), rng, std)
-        for name in ("sess.q", "sess.k", "sess.v"):
-            ps.add_normal(name, (d, d), rng, std)
-        ps.add_normal("pos", (dims.list_size, d), rng, std)
-        prev = dims.mlp_input
-        for li, width in enumerate(dims.mlp_hidden):
-            ps.add_normal(f"mlp.{li}.w", (prev, width), rng, std)
-            ps.add_zeros(f"mlp.{li}.b", (width,))
-            prev = width
-        for head in ("ctr", "cvr"):
-            ps.add_normal(f"head.{head}.w", (prev, 1), rng, std)
-            ps.add_zeros(f"head.{head}.b", (1,))
-        return cls(dims, ps)
+        return cls(dims, ParamSet.init(_layout(dims), rng, std))
 
     def trainable(self) -> dict[str, Tensor]:
         return self.ps.trainable()
@@ -148,8 +145,7 @@ class EvaluatorParams:
     def load(cls, path, trainable: bool = False) -> "EvaluatorParams":
         arrays = load_arrays(path)
         dims = ModelDims.from_meta(arrays.pop("meta.dims"))
-        params = cls.init(dims, RngStream(0))
-        params.load_values(arrays)
+        params = cls(dims, ParamSet.from_arrays(_layout(dims), arrays))
         params.set_trainable(trainable)
         return params
 

@@ -36,7 +36,7 @@ from .evaluator import (
     list_attention,
     self_attention_pool,
 )
-from .params import ParamSet
+from .params import Layout, ParamSet
 from .rng import RngStream
 
 _MASKED = -1e30
@@ -70,6 +70,18 @@ class GumbelConfig:
         )
 
 
+def _layout(dims: ModelDims) -> Layout:
+    d, fd = dims.embed_dim, dims.flat_dim
+    return [
+        ("pdu.w", (fd + 3 * d, 1), True), ("pdu.b", (1,), False),
+        ("mask.token", (dims.num_fields, d), True),
+        *((name, (fd, d), True) for name in ("mask.q", "mask.k", "mask.v")),
+        ("cand.w", (fd + d, d), True), ("cand.b", (d,), False),
+        ("cru.w", (4 * d, 1), True), ("cru.b", (1,), False),
+        ("pos", (dims.list_size, d), True),
+    ]
+
+
 class GeneratorParams:
     """Generator-owned weights plus a reference to the frozen shared trunk."""
 
@@ -81,20 +93,7 @@ class GeneratorParams:
 
     @classmethod
     def init(cls, shared: EvaluatorParams, rng: RngStream, std: float = 0.01) -> "GeneratorParams":
-        d = shared.dims.embed_dim
-        fd = shared.dims.flat_dim
-        ps = ParamSet()
-        ps.add_normal("pdu.w", (fd + 3 * d, 1), rng, std)
-        ps.add_zeros("pdu.b", (1,))
-        ps.add_normal("mask.token", (shared.dims.num_fields, d), rng, std)
-        for name in ("mask.q", "mask.k", "mask.v"):
-            ps.add_normal(name, (fd, d), rng, std)
-        ps.add_normal("cand.w", (fd + d, d), rng, std)
-        ps.add_zeros("cand.b", (d,))
-        ps.add_normal("cru.w", (4 * d, 1), rng, std)
-        ps.add_zeros("cru.b", (1,))
-        ps.add_normal("pos", (shared.dims.list_size, d), rng, std)
-        return cls(shared, ps)
+        return cls(shared, ParamSet.init(_layout(shared.dims), rng, std))
 
     def trainable(self) -> dict[str, Tensor]:
         return self.ps.trainable()
@@ -112,10 +111,8 @@ class GeneratorParams:
         if dims != shared.dims:
             raise ValueError(f"generator dims {dims} do not match shared evaluator dims {shared.dims}")
         scale = float(arrays.pop("meta.reward_scale"))
-        out = cls.init(shared, RngStream(0))
-        out.ps.load_values(arrays)
+        out = cls(shared, ParamSet.from_arrays(_layout(dims), arrays), scale)
         out.ps.set_trainable(trainable)
-        out.reward_scale = scale
         return out
 
 

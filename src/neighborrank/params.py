@@ -4,7 +4,21 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
+from .checkpoint import CheckpointError
 from .rng import RngStream
+
+# (name, shape, random) per parameter, in insertion order; random entries
+# start as small normal draws, the rest as zeros.
+Layout = list[tuple[str, tuple[int, ...], bool]]
+
+
+def _checked(values: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    if name not in values:
+        raise CheckpointError(f"missing parameter {name!r} in checkpoint")
+    arr = np.asarray(values[name], dtype=np.float64)
+    if arr.shape != shape:
+        raise CheckpointError(f"parameter {name!r}: shape {arr.shape} != expected {shape}")
+    return arr
 
 
 class ParamSet:
@@ -13,19 +27,29 @@ class ParamSet:
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
 
+    @classmethod
+    def init(cls, layout: Layout, rng: RngStream, std: float) -> "ParamSet":
+        """Fresh parameters: one child stream per random entry, named after it."""
+        ps = cls()
+        for name, shape, random in layout:
+            ps.add(name, rng.split(name).normal(shape, std=std) if random else np.zeros(shape))
+        return ps
+
+    @classmethod
+    def from_arrays(cls, layout: Layout, arrays: dict[str, np.ndarray]) -> "ParamSet":
+        """Parameters taken from checkpoint arrays; raises CheckpointError
+        for a missing name or a wrong shape. Names outside the layout are ignored."""
+        ps = cls()
+        for name, shape, _ in layout:
+            ps.add(name, _checked(arrays, name, shape))
+        return ps
+
     def add(self, name: str, value: np.ndarray, trainable: bool = True) -> Tensor:
         if name in self._tensors:
             raise ValueError(f"duplicate parameter {name!r}")
         t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=trainable, op="param")
         self._tensors[name] = t
         return t
-
-    def add_normal(self, name: str, shape, rng: RngStream, std: float = 0.01,
-                   trainable: bool = True) -> Tensor:
-        return self.add(name, rng.split(name).normal(shape, std=std), trainable)
-
-    def add_zeros(self, name: str, shape, trainable: bool = True) -> Tensor:
-        return self.add(name, np.zeros(shape), trainable)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -55,12 +79,7 @@ class ParamSet:
 
     def load_values(self, values: dict[str, np.ndarray]):
         for name, t in self._tensors.items():
-            if name not in values:
-                raise KeyError(f"missing parameter {name!r} in checkpoint")
-            arr = np.asarray(values[name], dtype=np.float64)
-            if arr.shape != t.value.shape:
-                raise ValueError(f"parameter {name!r}: shape {arr.shape} != expected {t.value.shape}")
-            t.value = arr.copy()
+            t.value = _checked(values, name, t.value.shape).copy()
 
     def zero_grads(self):
         for t in self._tensors.values():

@@ -13,24 +13,38 @@ import math
 import numpy as np
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_GOLDEN = _U64(_GOLDEN_INT)
+_MIX1 = _U64(_MIX1_INT)
+_MIX2 = _U64(_MIX2_INT)
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INV53 = float(2.0**-53)
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
-    # SplitMix64 output function; wrapping arithmetic is intentional.
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> _U64(30))) * _MIX1
-        x = (x ^ (x >> _U64(27))) * _MIX2
-        return x ^ (x >> _U64(31))
+    # SplitMix64 output function. uint64 array arithmetic wraps silently,
+    # which is the intended modular arithmetic.
+    x = (x ^ (x >> _U64(30))) * _MIX1
+    x = (x ^ (x >> _U64(27))) * _MIX2
+    return x ^ (x >> _U64(31))
+
+
+def _finalize_int(x: int) -> int:
+    # The same output function on one value, as 64-bit-masked Python ints.
+    x = ((x ^ (x >> 30)) * _MIX1_INT) & _MASK
+    x = ((x ^ (x >> 27)) * _MIX2_INT) & _MASK
+    return x ^ (x >> 31)
 
 
 def _mix_pair(a: int, b: int) -> int:
-    arr = np.array([(a + ((b * 0x9E3779B97F4A7C15) & _MASK)) & _MASK], dtype=np.uint64)
-    return int(_finalize(arr)[0])
+    return _finalize_int((a + ((b * _GOLDEN_INT) & _MASK)) & _MASK)
+
+
+def _size(shape) -> int:
+    """Element count of an int or tuple shape."""
+    return int(shape) if isinstance(shape, (int, np.integer)) else int(math.prod(shape))
 
 
 def _token_to_int(token) -> int:
@@ -62,24 +76,27 @@ class RngStream:
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            x = _U64(self.seed) + idx * _GOLDEN
         self.counter += n
-        return _finalize(x)
+        return _finalize(_U64(self.seed) + idx * _GOLDEN)
 
     def uniform(self, shape=None) -> np.ndarray | float:
-        """Uniform draws on the open interval (0, 1)."""
-        n = 1 if shape is None else int(np.prod(shape))
-        u = ((self._raw(n) >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+        """Uniform draws on the open interval (0, 1).
+
+        A scalar draw runs on Python ints and an array draw on uint64 arrays;
+        both give the same value for the same (seed, counter).
+        """
         if shape is None:
-            return float(u[0])
+            self.counter += 1
+            x = _finalize_int((self.seed + self.counter * _GOLDEN_INT) & _MASK)
+            return ((x >> 11) + 0.5) * _INV53
+        u = ((self._raw(_size(shape)) >> _U64(11)).astype(np.float64) + 0.5) * _INV53
         return u.reshape(shape)
 
     def normal(self, shape=None, mean: float = 0.0, std: float = 1.0):
-        n = 1 if shape is None else int(np.prod(shape))
+        n = 1 if shape is None else _size(shape)
         pairs = (n + 1) // 2
-        u1 = np.asarray(self.uniform(pairs), dtype=np.float64).reshape(pairs)
-        u2 = np.asarray(self.uniform(pairs), dtype=np.float64).reshape(pairs)
+        u1 = self.uniform((pairs,))
+        u2 = self.uniform((pairs,))
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * math.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
@@ -97,12 +114,10 @@ class RngStream:
         """Uniform integers in [low, high)."""
         if high <= low:
             raise ValueError(f"empty integer range [{low}, {high})")
-        u = self.uniform(shape if shape is not None else None)
-        out = np.floor(np.asarray(u) * (high - low)).astype(np.int64) + low
-        out = np.minimum(out, high - 1)
         if shape is None:
-            return int(out.reshape(())[()])
-        return out.reshape(shape)
+            return int(min(math.floor(self.uniform() * (high - low)) + low, high - 1))
+        out = np.floor(self.uniform(shape) * (high - low)).astype(np.int64) + low
+        return np.minimum(out, high - 1)
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n)."""

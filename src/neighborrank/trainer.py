@@ -140,11 +140,17 @@ def build_neighbors(list_idx, num_candidates: int, beta: float, rng: RngStream) 
     if len(set(origin)) != m:
         raise ValueError(f"origin list has duplicates: {origin}")
     reps = 1 if beta < 1 else int(beta)
+    positions = sampled_positions(m, beta, rng)
+    pools = [replacement_pool(origin, j, num_candidates) for j in positions]
+    sizes = np.array([len(pool) for pool in pools])[:, None]
+    # one draw per edit in (position, repeat) order, mapped to a pool index
+    # with the arithmetic of rng.integers(0, len(pool))
+    picks = np.floor(rng.uniform((len(positions), reps)) * sizes).astype(np.int64)
+    picks = np.minimum(picks, sizes - 1)
     out = NeighborSet(origin=origin)
-    for j in sampled_positions(m, beta, rng):
-        pool = replacement_pool(origin, j, num_candidates)
-        for _ in range(reps):
-            k = int(pool[rng.integers(0, len(pool))])
+    for j, pool, row in zip(positions, pools, picks.tolist()):
+        for p in row:
+            k = int(pool[p])
             out.samples.append(NeighborReward(position=j, candidate=k,
                                               neighbor=apply_move(origin, j, k)))
     return out

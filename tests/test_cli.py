@@ -2,9 +2,11 @@ import json
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from neighborrank import autodiff as ad
+from neighborrank.checkpoint import load_arrays, save_arrays
 from neighborrank.cli import main
 
 TINY = {
@@ -101,12 +103,9 @@ class TestDeterminism:
         cfg_b, out_b = write_config(tmp_path, "run_b")
         run_pipeline(cfg_a)
         run_pipeline(cfg_b)
-        for name in ("dataset.jsonl", "eval.ckpt", "gen.ckpt", "trace.jsonl"):
+        # the config hash leaves out paths, so the reports match to the byte too
+        for name in ("dataset.jsonl", "eval.ckpt", "gen.ckpt", "trace.jsonl", "report.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-        # reports differ only in the embedded config hash (paths differ)
-        strip = lambda p: "\n".join(l for l in (p / "report.csv").read_text().splitlines()
-                                    if not l.startswith("# config_sha256"))
-        assert strip(out_a) == strip(out_b)
 
 
 class TestExitCodes:
@@ -136,6 +135,26 @@ class TestExitCodes:
         with ad.no_grad():
             assert main(["train-eval", "--config", str(cfg_path)]) == 1
         assert "unchanged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["missing", "wrong-shape"])
+    def test_damaged_checkpoint_tensor_is_1(self, pipeline_run, tmp_path, capsys, damage):
+        cfg_path, src = pipeline_run
+        out = tmp_path / "damaged"
+        out.mkdir()
+        for name in ("dataset.jsonl", "dataset.jsonl.manifest.json", "eval.ckpt", "gen.ckpt"):
+            (out / name).write_bytes((src / name).read_bytes())
+        arrays = load_arrays(out / "eval.ckpt")
+        if damage == "missing":
+            del arrays["head.cvr.b"]
+        else:
+            arrays["head.cvr.b"] = np.zeros(2)
+        save_arrays(out / "eval.ckpt", arrays)
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'head.cvr.b'" in err
+        assert "Traceback" not in err
+        assert not (out / "report.csv").exists()
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.json")]) == 2

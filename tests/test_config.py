@@ -102,6 +102,13 @@ def test_hash_changes_with_content():
     assert config_hash(a) != config_hash(b)
 
 
+def test_hash_ignores_output_directory():
+    a = default_config()
+    b = default_config()
+    b.paths.out_dir = "elsewhere/run"
+    assert config_hash(a) == config_hash(b)
+
+
 def test_invalid_json_reported(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

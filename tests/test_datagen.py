@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from neighborrank import datagen
+from neighborrank.config import default_config
 from neighborrank.datagen import (
     Catalog,
     DataConfig,
@@ -200,3 +203,68 @@ def test_reranking_headroom_over_greedy():
         best = brute_force_best(model, pool, rec.user_id, cfg.list_size)
         differs += int(best != greedy)
     assert differs / len(records) >= 0.30
+
+
+# sha256 of dataset.jsonl for 40 records of default_config().data, taken before
+# the Python-int fast paths landed. A change here means the stream layout (or
+# the simulator) changed, and every dataset and checkpoint downstream with it.
+STREAM_LAYOUT_SHA256 = "99e878ab1a0131408ee7f134769fff8d5e03d754ddee360af4d62624e3c80347"
+
+
+def test_stream_layout_pinned(tmp_path):
+    cfg = dataclasses.replace(default_config().data, num_records=40)
+    path = write_dataset(generate_records(cfg), cfg, tmp_path / "dataset.jsonl")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STREAM_LAYOUT_SHA256
+
+
+def test_cached_affinity_equals_fresh_draw_and_is_read_only():
+    model = ground_truth(small_cfg())
+    for user in (0, 7, 29):
+        fresh = RngStream(model.seed).split("affinity", user).normal(
+            (model.catalog.num_categories,)) * model.affinity_sigma
+        first = model.affinity(user)
+        assert np.array_equal(first, fresh)
+        assert model.affinity(np.int64(user)) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+    assert np.array_equal(ground_truth(small_cfg()).affinity(7), model.affinity(7))
+
+
+def loop_click_probs(model, item_ids, user_id):
+    """Reference: the same-category count as an explicit loop."""
+    item_ids = np.asarray(item_ids)
+    cats = model.catalog.category[item_ids]
+    dup = np.zeros(len(item_ids))
+    for j in range(1, len(item_ids)):
+        dup[j] = np.count_nonzero(cats[:j] == cats[j])
+    logits = (model.quality(item_ids) + model.affinity(user_id)[cats]
+              + model.position_bias[: len(item_ids)] - model.cannibalization * dup)
+    return 0.5 * (1.0 + np.tanh(0.5 * logits))
+
+
+def loop_labels(model, item_ids, user_id, rs):
+    """Reference: one scalar conversion draw per clicked slot, in slot order."""
+    probs = model.list_click_probs(item_ids, user_id)
+    clicks = (rs.uniform((len(item_ids),)) < probs).astype(np.int64)
+    convs = np.zeros(len(item_ids), dtype=np.int64)
+    for j in np.flatnonzero(clicks):
+        convs[j] = int(rs.uniform() < model.conversion_prob(int(item_ids[j]), user_id))
+    return clicks, convs
+
+
+@pytest.mark.parametrize("num_categories", [1, 3, 8])
+def test_simulator_matches_loop_reference(num_categories):
+    cfg = small_cfg(num_categories=num_categories, list_size=6, num_candidates=6)
+    model = ground_truth(cfg)
+    for trial in range(200):
+        pick = RngStream(trial).split("pick")
+        items = pick.choice(cfg.num_items, cfg.list_size)
+        user = pick.integers(0, cfg.num_users)
+        assert np.array_equal(model.list_click_probs(items, user),
+                              loop_click_probs(model, items, user))
+        fast, ref = RngStream(trial, 3), RngStream(trial, 3)
+        got = datagen._sample_labels(model, items, user, fast)
+        want = loop_labels(model, items, user, ref)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+        assert fast.counter == ref.counter

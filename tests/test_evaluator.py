@@ -5,6 +5,7 @@ import pytest
 
 from neighborrank import autodiff as ad
 from neighborrank import evaluator as ev
+from neighborrank.checkpoint import CheckpointError, load_arrays, save_arrays
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.optim import TrainingStalled
 from neighborrank.rng import RngStream
@@ -257,6 +258,29 @@ class TestCheckpointRoundTrip:
         for name, tensor in params.ps.items():
             assert np.array_equal(tensor.value, loaded.ps[name].value)
         assert not loaded.ps["embed.item"].requires_grad
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        params = make_params(seed=41)
+        path = tmp_path / "eval.ckpt"
+        params.save(path)
+        monkeypatch.setattr(RngStream, "normal", lambda *a, **k: pytest.fail("random init"))
+        loaded = ev.EvaluatorParams.load(path)
+        assert list(loaded.ps) == list(params.ps)
+        loaded.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("damage", ["missing", "wrong-shape"])
+    def test_damaged_tensor_raises_checkpoint_error(self, tmp_path, damage):
+        path = tmp_path / "eval.ckpt"
+        make_params(seed=42).save(path)
+        arrays = load_arrays(path)
+        if damage == "missing":
+            del arrays["mlp.1.w"]
+        else:
+            arrays["mlp.1.w"] = arrays["mlp.1.w"].T
+        save_arrays(path, arrays)
+        with pytest.raises(CheckpointError, match="'mlp.1.w'"):
+            ev.EvaluatorParams.load(path)
 
 
 def small_dataset(num_records=400):

@@ -6,6 +6,7 @@ import pytest
 from neighborrank import autodiff as ad
 from neighborrank import evaluator as ev
 from neighborrank import generator as gen
+from neighborrank.checkpoint import CheckpointError, load_arrays, save_arrays
 from neighborrank.rng import RngStream
 
 
@@ -282,3 +283,16 @@ class TestCheckpoint:
         other = ev.EvaluatorParams.init(tiny_dims(embed_dim=4), RngStream(1))
         with pytest.raises(ValueError):
             gen.GeneratorParams.load(path, other)
+
+    def test_load_draws_no_random_init_and_names_missing_tensor(self, tmp_path, monkeypatch):
+        gp = make_generator(seed=51)
+        path = tmp_path / "gen.ckpt"
+        gp.save(path)
+        monkeypatch.setattr(RngStream, "normal", lambda *a, **k: pytest.fail("random init"))
+        loaded = gen.GeneratorParams.load(path, gp.shared)
+        assert list(loaded.ps) == list(gp.ps)
+        arrays = load_arrays(path)
+        del arrays["cand.b"]
+        save_arrays(path, arrays)
+        with pytest.raises(CheckpointError, match="'cand.b'"):
+            gen.GeneratorParams.load(path, gp.shared)

@@ -3,7 +3,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neighborrank import rng as rng_mod
 from neighborrank.rng import RngStream
+
+# Every draw in this module runs with warnings as errors: the streams use
+# wrapping uint64 arithmetic and must not emit overflow warnings.
+pytestmark = pytest.mark.filterwarnings("error")
+
+U64 = st.integers(0, 2**64 - 1)
+TAGS = st.lists(st.one_of(U64, st.text(max_size=8)), max_size=4)
+
+
+# Reference SplitMix64 on numpy uint64 arrays: the stream layout the Python-int
+# fast paths must reproduce bit for bit.
+def ref_finalize(x):
+    with np.errstate(over="ignore"):
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+
+def ref_mix_pair(a, b):
+    mask = 2**64 - 1
+    arr = np.array([(a + ((b * 0x9E3779B97F4A7C15) & mask)) & mask], dtype=np.uint64)
+    return int(ref_finalize(arr)[0])
+
+
+def ref_split_seed(seed, tags):
+    child = ref_mix_pair(seed, 0x5851F42D4C957F2D)
+    for tag in tags:
+        child = ref_mix_pair(child, rng_mod._token_to_int(tag))
+    return child
+
+
+def ref_uniform(seed, counter, n):
+    idx = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)
+    return ((ref_finalize(x) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+@given(a=U64, b=U64)
+@settings(max_examples=300, deadline=None)
+def test_mix_pair_matches_numpy_reference(a, b):
+    assert rng_mod._mix_pair(a, b) == ref_mix_pair(a, b)
+
+
+@given(seed=U64, tags=TAGS)
+@settings(max_examples=200, deadline=None)
+def test_split_matches_numpy_reference(seed, tags):
+    child = RngStream(seed).split(*tags)
+    assert child.seed == ref_split_seed(seed, tags)
+    assert child.counter == 0
+
+
+@given(seed=U64, counter=st.integers(0, 2**48), n=st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_uniform_matches_numpy_reference(seed, counter, n):
+    expected = ref_uniform(seed, counter, n)
+    scalar = RngStream(seed, counter)
+    draws = [scalar.uniform() for _ in range(n)]
+    assert all(type(u) is float for u in draws)
+    assert np.array_equal(np.array(draws), expected)
+    assert scalar.counter == counter + n
+    array = RngStream(seed, counter)
+    assert np.array_equal(array.uniform((n,)), expected)
+    assert array.counter == counter + n
+
+
+@given(seed=U64, counter=st.integers(0, 2**48), low=st.integers(-50, 50),
+       span=st.integers(1, 10**6), n=st.integers(1, 20))
+@settings(max_examples=200, deadline=None)
+def test_scalar_integers_match_array_integers(seed, counter, low, span, n):
+    scalar = RngStream(seed, counter)
+    draws = [scalar.integers(low, low + span) for _ in range(n)]
+    assert all(type(k) is int for k in draws)
+    assert draws == RngStream(seed, counter).integers(low, low + span, (n,)).tolist()
 
 
 def test_same_seed_counter_same_sequence():

@@ -9,7 +9,7 @@ from neighborrank import autodiff as ad
 from neighborrank import evaluator as ev
 from neighborrank import trainer as tr
 from neighborrank.datagen import DataConfig, generate_records
-from neighborrank.generator import GumbelConfig, gumbel_sample
+from neighborrank.generator import GumbelConfig, apply_move, gumbel_sample
 from neighborrank.optim import TrainingStalled
 from neighborrank.rng import RngStream
 
@@ -124,6 +124,32 @@ class TestBuildNeighbors:
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
             tr.build_neighbors((0, 1), num_candidates=4, beta=1.5, rng=RngStream(10))
+
+    @staticmethod
+    def scalar_loop_neighbors(list_idx, num_candidates, beta, rng):
+        """Reference: one scalar rng.integers call per edit, in loop order."""
+        origin = tuple(int(i) for i in list_idx)
+        reps = 1 if beta < 1 else int(beta)
+        out = []
+        for j in tr.sampled_positions(len(origin), beta, rng):
+            pool = tr.replacement_pool(origin, j, num_candidates)
+            for _ in range(reps):
+                k = int(pool[rng.integers(0, len(pool))])
+                out.append((j, k, apply_move(origin, j, k)))
+        return out
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 1, 2])
+    @pytest.mark.parametrize("n,m", [(5, 5), (8, 5), (12, 4)])
+    def test_matches_scalar_loop_reference(self, n, m, beta):
+        for trial in range(60):
+            seed = RngStream(trial).split("pick", n, m).integers(0, 2**62)
+            origin = tuple(RngStream(seed).choice(n, m).tolist())
+            fast, ref = RngStream(seed, trial), RngStream(seed, trial)
+            nset = tr.build_neighbors(origin, n, beta, fast)
+            got = [(s.position, s.candidate, s.neighbor) for s in nset.samples]
+            assert got == self.scalar_loop_neighbors(origin, n, beta, ref)
+            assert all(type(k) is int for _, k, _ in got)
+            assert fast.counter == ref.counter
 
 
 def uniform_soft(b, k):
