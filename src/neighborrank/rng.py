@@ -80,16 +80,11 @@ class RngStream:
         return _finalize(_U64(self.seed) + idx * _GOLDEN)
 
     def uniform(self, shape=None) -> np.ndarray | float:
-        """Uniform draws on the open interval (0, 1).
-
-        A scalar draw runs on Python ints and an array draw on uint64 arrays;
-        both give the same value for the same (seed, counter).
-        """
+        """Uniform draws on the open interval (0, 1)."""
+        n = 1 if shape is None else _size(shape)
+        u = ((self._raw(n) >> _U64(11)).astype(np.float64) + 0.5) * _INV53
         if shape is None:
-            self.counter += 1
-            x = _finalize_int((self.seed + self.counter * _GOLDEN_INT) & _MASK)
-            return ((x >> 11) + 0.5) * _INV53
-        u = ((self._raw(_size(shape)) >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+            return float(u[0])
         return u.reshape(shape)
 
     def normal(self, shape=None, mean: float = 0.0, std: float = 1.0):
@@ -114,10 +109,9 @@ class RngStream:
         """Uniform integers in [low, high)."""
         if high <= low:
             raise ValueError(f"empty integer range [{low}, {high})")
-        if shape is None:
-            return int(min(math.floor(self.uniform() * (high - low)) + low, high - 1))
         out = np.floor(self.uniform(shape) * (high - low)).astype(np.int64) + low
-        return np.minimum(out, high - 1)
+        out = np.minimum(out, high - 1)
+        return int(out) if shape is None else out
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n)."""

@@ -14,8 +14,8 @@ U64 = st.integers(0, 2**64 - 1)
 TAGS = st.lists(st.one_of(U64, st.text(max_size=8)), max_size=4)
 
 
-# Reference SplitMix64 on numpy uint64 arrays: the stream layout the Python-int
-# fast paths must reproduce bit for bit.
+# Reference SplitMix64 on numpy uint64 arrays, with np.errstate: the stream
+# layout the Python-int split and the errstate-free draws must reproduce.
 def ref_finalize(x):
     with np.errstate(over="ignore"):
         x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
