@@ -6,6 +6,7 @@ Run: python3 demos/03_train_the_evaluator.py   (about a minute on a laptop)
 import numpy as np
 
 from neighborrank import evaluator as ev
+from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
 
 cfg = DataConfig(seed=7, num_records=6000)
@@ -16,7 +17,7 @@ dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
                     brand_vocab=cfg.num_brands, list_size=cfg.list_size,
                     num_candidates=cfg.num_candidates,
                     history_sessions=cfg.history_sessions)
-params, history = ev.train_evaluator(train, test, dims, epochs=4, seed=1)
+params, history = ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=4, seed=1))
 
 print("epoch  split  auc     logloss  ndcg5")
 for row in history:

@@ -6,6 +6,7 @@ Run: python3 demos/04_train_the_generator.py   (a few minutes on a laptop)
 
 from neighborrank import evaluator as ev
 from neighborrank import trainer as tr
+from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.generator import GumbelConfig, generate
 from neighborrank.rng import RngStream
@@ -18,7 +19,7 @@ dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
                     brand_vocab=cfg.num_brands, list_size=cfg.list_size,
                     num_candidates=cfg.num_candidates,
                     history_sessions=cfg.history_sessions)
-eval_params, _ = ev.train_evaluator(train, test, dims, epochs=4, seed=1)
+eval_params, _ = ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=4, seed=1))
 
 # neighbor sampling: the per-edit counterfactuals the trainer scores
 nset = tr.build_neighbors((0, 1, 2, 3, 4), num_candidates=5, beta=1, rng=RngStream(3))
@@ -26,15 +27,15 @@ print("sampled edits of the list (0,1,2,3,4):")
 for s in nset.samples:
     print(f"  slot {s.position} <- candidate {s.candidate}  ->  {s.neighbor}")
 
-tcfg = tr.TrainConfig(epochs=16, seed=2)
-gp, history, reward_cfg = tr.train_generator(train, eval_params, tcfg)
+training = TrainingSection(gen_epochs=16, seed=2)   # the CLI's training section
+gp, history, reward_cfg = tr.train_generator(train, eval_params, training)
 print("\nepoch  main loss   guidance loss")
 for row in history:
     print(f"{row['epoch']:5d}  {row['loss_main']:+.5f}    {row['loss_aux']:.4f}")
 print(f"reward scale fitted on train utilities: {reward_cfg.scale:.4f}")
 
 # deterministic walks on held-out records; show one that edits the list
-gcfg = GumbelConfig(tau=tcfg.tau_end, noise=False)
+gcfg = GumbelConfig(tau=training.tau_end, noise=False)
 rec, final, trace = None, None, None
 for candidate_rec in test[:50]:
     start = tuple(int(x) for x in candidate_rec.exposed)

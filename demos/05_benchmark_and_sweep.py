@@ -8,6 +8,7 @@ import numpy as np
 from neighborrank import evaluator as ev
 from neighborrank import pipeline as pl
 from neighborrank import trainer as tr
+from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.generator import GumbelConfig
 
@@ -19,16 +20,17 @@ dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
                     brand_vocab=cfg.num_brands, list_size=cfg.list_size,
                     num_candidates=cfg.num_candidates,
                     history_sessions=cfg.history_sessions)
-eval_params, _ = ev.train_evaluator(train, test, dims, epochs=4, seed=1)
-tcfg = tr.TrainConfig(epochs=16, seed=2)
-gp, _, reward_cfg = tr.train_generator(train, eval_params, tcfg)
+eval_params, _ = ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=4, seed=1))
+training = TrainingSection(gen_epochs=16, seed=2)
+gp, _, reward_cfg = tr.train_generator(train, eval_params, training)
 
 # every reranker proposes one list per record; the oracle ranks each proposal
 # against all 120 permutations of that record's candidates
 e_user = ev.user_vectors(test, eval_params)
 tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user_cache=e_user)
 lists = pl.baseline_lists(test, eval_params, seed=3, e_user_cache=e_user)
-lists["generator"], _ = pl.rerank_records(test, gp, GumbelConfig(tau=tcfg.tau_end, noise=False),
+lists["generator"], _ = pl.rerank_records(test, gp,
+                                          GumbelConfig(tau=training.tau_end, noise=False),
                                           e_user_cache=e_user)
 report = pl.evaluate_rerankers(test, eval_params, reward_cfg, lists,
                                e_user_cache=e_user, tables=tables)

@@ -6,6 +6,7 @@ as float64 row-major. Round-trips are bit-exact.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -54,10 +55,15 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     while pos < len(data):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: array name is not UTF-8") from exc
         (rank,) = struct.unpack("<I", take(4))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
+        if rank > 32:
+            raise CheckpointError(f"{path}: array {name!r} has rank {rank}")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        count = math.prod(dims)
         values = np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64)
         arrays[name] = values.reshape(dims)
     return arrays

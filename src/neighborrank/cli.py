@@ -4,7 +4,8 @@ Every command reads one JSON config, writes fixed filenames under the output
 directory and is deterministic given config plus seed. Reports embed the
 config hash and checkpoint hashes so a result can always be traced back to
 its inputs. Exit codes: 0 success, 2 missing input file or checkpoint,
-3 invalid configuration, 1 anything else.
+3 invalid configuration, 1 a malformed dataset or checkpoint, a non-finite
+value or any other runtime error.
 """
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ from pathlib import Path
 from . import evaluator as ev
 from . import pipeline as pl
 from . import trainer as tr
+from .checkpoint import CheckpointError
 from .config import (
     Config,
     ConfigError,
-    apply_ablation,
     config_from_dict,
     config_hash,
     load_config,
@@ -93,9 +94,21 @@ def _gumbel_config(cfg: Config) -> GumbelConfig:
                         theta_c=t.theta_c, max_steps=t.max_steps)
 
 
-def _load_split(out_dir: Path):
+def _load_split(cfg: Config, out_dir: Path):
     records, manifest = load_dataset(_require(out_dir / DATASET_FILE, "dataset"))
+    for key in ("num_items", "num_categories", "num_brands", "history_sessions",
+                "list_size", "num_candidates"):
+        if manifest[key] != getattr(cfg.data, key):
+            raise DatasetError(f"dataset has {key}={manifest[key]} but the config "
+                               f"has data.{key}={getattr(cfg.data, key)}")
     return split_records(records, manifest)
+
+
+def _load_evaluator(cfg: Config, out_dir: Path) -> ev.EvaluatorParams:
+    params = ev.EvaluatorParams.load(_require(out_dir / EVAL_CKPT, "evaluator checkpoint"))
+    if params.dims != _model_dims(cfg):
+        raise CheckpointError(f"{EVAL_CKPT}: dims {params.dims} do not match the config")
+    return params
 
 
 def cmd_gen_data(cfg: Config, out_dir: Path) -> None:
@@ -105,11 +118,8 @@ def cmd_gen_data(cfg: Config, out_dir: Path) -> None:
 
 
 def cmd_train_eval(cfg: Config, out_dir: Path) -> None:
-    train, test = _load_split(out_dir)
-    params, history = ev.train_evaluator(
-        train, test, _model_dims(cfg),
-        lr=cfg.training.lr, batch_size=cfg.training.batch_size,
-        epochs=cfg.training.eval_epochs, seed=cfg.training.seed)
+    train, test = _load_split(cfg, out_dir)
+    params, history = ev.train_evaluator(train, test, _model_dims(cfg), cfg.training)
     params.save(out_dir / EVAL_CKPT)
     _write_csv(out_dir / EVAL_HISTORY,
                ["epoch", "split", "auc", "logloss", "ndcg5", "ndcg10"],
@@ -119,24 +129,16 @@ def cmd_train_eval(cfg: Config, out_dir: Path) -> None:
 
 
 def cmd_train_gen(cfg: Config, out_dir: Path) -> None:
-    train, test = _load_split(out_dir)
-    eval_params = ev.EvaluatorParams.load(_require(out_dir / EVAL_CKPT, "evaluator checkpoint"))
-    t = apply_ablation(cfg.training)
-    tcfg = tr.TrainConfig(
-        alpha=t.alpha, beta=t.beta, lr=t.lr, batch_size=t.batch_size,
-        epochs=t.gen_epochs, seed=t.seed, tau_start=t.tau_start, tau_end=t.tau_end,
-        k1=t.k1, k2=t.k2, cvr_mode=t.cvr_total_mode,
-        use_relative=t.ablation != "no-relative-reward")
-
-    val = test[: t.hr_validation_records]
+    train, test = _load_split(cfg, out_dir)
+    eval_params = _load_evaluator(cfg, out_dir)
+    val = test[: cfg.training.hr_validation_records]
     val_users = ev.user_vectors(val, eval_params)
     tables_box: dict = {}
     gcfg = _gumbel_config(cfg)
 
     def epoch_cb(gp, epoch):
         if "tables" not in tables_box:
-            rc = tr.RewardConfig(k1=t.k1, k2=t.k2, scale=gp.reward_scale,
-                                 cvr_mode=t.cvr_total_mode)
+            rc = tr.reward_config(cfg.training, gp.reward_scale)
             tables_box["tables"] = pl.build_oracle_tables(val, eval_params, rc,
                                                           e_user_cache=val_users)
         tables = tables_box["tables"]
@@ -145,7 +147,7 @@ def cmd_train_gen(cfg: Config, out_dir: Path) -> None:
         from .metrics import hit_ratio
         return {"hr10_val": hit_ratio(ranks, tables[0].space.count, 10.0)}
 
-    gp, history, reward_cfg = tr.train_generator(train, eval_params, tcfg,
+    gp, history, reward_cfg = tr.train_generator(train, eval_params, cfg.training,
                                                  epoch_callback=epoch_cb)
     gp.save(out_dir / GEN_CKPT)
     rows = [{"epoch": r["epoch"], "loss_main": r["loss_main"], "loss_aux": r["loss_aux"],
@@ -159,9 +161,9 @@ def cmd_train_gen(cfg: Config, out_dir: Path) -> None:
 
 
 def cmd_rerank(cfg: Config, out_dir: Path) -> None:
-    _, test = _load_split(out_dir)
-    eval_params = ev.EvaluatorParams.load(_require(out_dir / EVAL_CKPT, "evaluator checkpoint"))
-    gp = GeneratorParams.load(_require(out_dir / GEN_CKPT, "generator checkpoint"), eval_params)
+    _, test = _load_split(cfg, out_dir)
+    gp = GeneratorParams.load(_require(out_dir / GEN_CKPT, "generator checkpoint"),
+                              _load_evaluator(cfg, out_dir))
     lists, traces = pl.rerank_records(test, gp, _gumbel_config(cfg))
     path = out_dir / TRACE_FILE
     with path.open("w", encoding="utf-8") as fh:
@@ -182,16 +184,14 @@ def cmd_rerank(cfg: Config, out_dir: Path) -> None:
 
 
 def _bench_report(cfg: Config, out_dir: Path) -> list[dict]:
-    _, test = _load_split(out_dir)
-    eval_params = ev.EvaluatorParams.load(_require(out_dir / EVAL_CKPT, "evaluator checkpoint"))
+    _, test = _load_split(cfg, out_dir)
+    eval_params = _load_evaluator(cfg, out_dir)
     gp = GeneratorParams.load(_require(out_dir / GEN_CKPT, "generator checkpoint"), eval_params)
-    t = cfg.training
-    reward_cfg = tr.RewardConfig(k1=t.k1, k2=t.k2, scale=gp.reward_scale,
-                                 cvr_mode=t.cvr_total_mode)
+    reward_cfg = tr.reward_config(cfg.training, gp.reward_scale)
 
     eval_row = ev.evaluate_metrics(test, eval_params)
     e_user = ev.user_vectors(test, eval_params)
-    lists = pl.baseline_lists(test, eval_params, seed=t.seed, e_user_cache=e_user)
+    lists = pl.baseline_lists(test, eval_params, seed=cfg.training.seed, e_user_cache=e_user)
     lists["generator"], _ = pl.rerank_records(test, gp, _gumbel_config(cfg),
                                               e_user_cache=e_user)
     hr = pl.evaluate_rerankers(test, eval_params, reward_cfg, lists, e_user_cache=e_user)
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 3
-    except (DatasetError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,8 +61,9 @@ class TrainingSection:
     def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError("training.lr: must be positive")
-        if self.batch_size < 1 or self.eval_epochs < 1 or self.gen_epochs < 1:
-            raise ConfigError("training.batch_size/eval_epochs/gen_epochs: must be >= 1")
+        for name in ("batch_size", "eval_epochs", "gen_epochs", "hr_validation_records"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"training.{name}: must be >= 1")
         if self.alpha < 0:
             raise ConfigError("training.alpha: must be nonnegative")
         if not (0 < self.beta < 1 or (self.beta >= 1 and float(self.beta).is_integer())):
@@ -176,13 +177,6 @@ def deep_mlp_config() -> Config:
     cfg.model = ModelSection(mlp_hidden=[1024, 256, 128])
     cfg.training = dataclasses.replace(cfg.training, batch_size=1024)
     return cfg
-
-
-def apply_ablation(training: TrainingSection) -> TrainingSection:
-    """Resolve the named ablation into concrete training settings."""
-    if training.ablation == "no-l2":
-        return dataclasses.replace(training, alpha=0.0)
-    return training
 
 
 def set_by_dotted_key(cfg: Config, dotted: str, value) -> Config:

@@ -58,10 +58,10 @@ def gen_catalog(seed: int, num_items: int, num_categories: int, num_brands: int 
         raise ValueError(f"need num_items >= num_categories >= 1, got {num_items} < {num_categories}")
     rs = RngStream(seed).split("catalog")
     category = rs.split("category").integers(0, num_categories, (num_items,))
-    brand = rs.split("brand").integers(0, max(1, num_brands), (num_items,))
+    brand = rs.split("brand").integers(0, num_brands, (num_items,))
     quality = rs.split("quality").normal((num_items,))
     return Catalog(category=category, brand=brand, quality=quality,
-                   num_categories=num_categories, num_brands=max(1, num_brands))
+                   num_categories=num_categories, num_brands=num_brands)
 
 
 @dataclass
@@ -166,6 +166,10 @@ class DataConfig:
     train_fraction: float = 0.9
 
     def __post_init__(self):
+        for name in ("num_items", "num_categories", "num_brands", "num_users",
+                     "history_sessions", "list_size", "num_records"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.list_size > self.num_candidates:
             raise ValueError("list_size cannot exceed num_candidates")
         if self.num_candidates > self.num_items:
@@ -320,75 +324,100 @@ def gen_logs(cfg: DataConfig, path) -> tuple[list[InteractionRecord], list[Inter
     return records[:num_train], records[num_train:]
 
 
-def _parse_record(obj: dict, line_no: int, manifest: dict) -> InteractionRecord:
+def _in_range(values, bound: int) -> bool:
+    """Whether values is a nonempty run of JSON integers in [0, bound)."""
+    return set(map(type, values)) == {int} and min(values) >= 0 and max(values) < bound
+
+
+def _ints(values, length: int, bound: int, what: str, fail) -> np.ndarray:
+    if not (isinstance(values, list) and len(values) == length and _in_range(values, bound)):
+        fail(f"field {what!r} must hold {length} integers in [0, {bound})")
+    return np.array(values, dtype=np.int64)
+
+
+def _objects(items, length: int, fields: dict[str, int], what: str, fail) -> np.ndarray:
+    """(length, len(fields)) int64 array of each object's named integer
+    fields; each value must lie in [0, limit) of its field."""
+    if not (isinstance(items, list) and len(items) == length
+            and all(isinstance(item, dict) for item in items)):
+        fail(f"field {what!r} must hold {length} objects")
+    rows = [[item[name] for name in fields] for item in items]
+    for (name, limit), column in zip(fields.items(), zip(*rows)):
+        if not _in_range(column, limit):
+            fail(f"field {what!r}: every {name!r} must be an integer in [0, {limit})")
+    return np.array(rows, dtype=np.int64).reshape(length, len(fields))
+
+
+def _parse_record(obj, line_no: int, manifest: dict) -> InteractionRecord:
     def fail(msg: str):
         raise DatasetError(f"line {line_no}: {msg}")
 
+    if not isinstance(obj, dict):
+        fail("not a JSON object")
     H, m, n = manifest["history_sessions"], manifest["list_size"], manifest["num_candidates"]
+    features = {"item": manifest["num_items"], "cat": manifest["num_categories"],
+                "brand": manifest["num_brands"]}
     sessions = obj.get("sessions")
-    if not isinstance(sessions, list) or len(sessions) != H:
-        fail(f"field 'sessions' must hold {H} sessions")
-    ses_ids = np.zeros((H, m, 3), dtype=np.int64)
-    ses_clicks = np.zeros((H, m), dtype=np.int64)
-    ses_convs = np.zeros((H, m), dtype=np.int64)
-    for h, session in enumerate(sessions):
-        if len(session) != m:
-            fail(f"field 'sessions'[{h}] must hold {m} items")
-        for j, it in enumerate(session):
-            ses_ids[h, j] = (it["item"], it["cat"], it["brand"])
-            ses_clicks[h, j] = it["click"]
-            ses_convs[h, j] = it["conv"]
-            if it["conv"] == 1 and it["click"] != 1:
-                fail(f"field 'sessions'[{h}][{j}]: conversion without click")
-    candidates = obj.get("candidates")
-    if not isinstance(candidates, list) or len(candidates) != n:
-        fail(f"field 'candidates' must hold {n} items")
-    cand_ids = np.array([(c["item"], c["cat"], c["brand"]) for c in candidates], dtype=np.int64)
-    exposed = np.asarray(obj.get("exposed", []), dtype=np.int64)
-    if exposed.shape != (m,):
-        fail(f"field 'exposed' must hold {m} candidate indices")
-    if exposed.min(initial=0) < 0 or exposed.max(initial=-1) >= n:
-        fail("field 'exposed': candidate index out of range")
+    if not (isinstance(sessions, list) and len(sessions) == H
+            and all(isinstance(s, list) and len(s) == m for s in sessions)):
+        fail(f"field 'sessions' must hold {H} sessions of {m} items")
+    ses = _objects([it for s in sessions for it in s], H * m,
+                   {**features, "click": 2, "conv": 2}, "sessions", fail).reshape(H, m, 5)
+    if (ses[..., 4] > ses[..., 3]).any():  # labels are 0/1
+        fail("field 'sessions': conversion without click")
+    exposed = _ints(obj.get("exposed"), m, n, "exposed", fail)
     if len(set(exposed.tolist())) != m:
         fail("field 'exposed': duplicate candidate index")
-    clicks = np.asarray(obj.get("clicks", []), dtype=np.int64)
-    convs = np.asarray(obj.get("convs", []), dtype=np.int64)
-    if clicks.shape != (m,) or convs.shape != (m,):
-        fail("fields 'clicks'/'convs' must have list length")
-    if ((convs == 1) & (clicks == 0)).any():
+    clicks = _ints(obj.get("clicks"), m, 2, "clicks", fail)
+    convs = _ints(obj.get("convs"), m, 2, "convs", fail)
+    if (convs > clicks).any():
         fail("field 'convs': conversion without click")
+    if type(obj.get("user_id")) is not int:
+        fail("field 'user_id' must be an integer")
     return InteractionRecord(
-        user_id=int(obj["user_id"]),
-        session_ids=ses_ids,
-        session_clicks=ses_clicks,
-        session_convs=ses_convs,
-        candidate_ids=cand_ids,
-        exposed=exposed,
-        clicks=clicks,
-        convs=convs,
-    )
+        user_id=obj["user_id"], session_ids=ses[..., :3], session_clicks=ses[..., 3],
+        session_convs=ses[..., 4], exposed=exposed, clicks=clicks, convs=convs,
+        candidate_ids=_objects(obj.get("candidates"), n, features, "candidates", fail))
+
+
+def _read_manifest(mpath: Path) -> dict:
+    try:
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise DatasetError(f"{mpath}: unreadable manifest ({exc})") from exc
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != SCHEMA_VERSION:
+        raise DatasetError(f"{mpath}: schema version {version} != supported {SCHEMA_VERSION}")
+    for key in ("num_records", "num_train", "history_sessions", "list_size",
+                "num_candidates", "num_items", "num_categories", "num_brands"):
+        if type(manifest.get(key)) is not int or manifest[key] < 0:
+            raise DatasetError(f"{mpath}: {key!r} must be a nonnegative integer")
+    if manifest["num_train"] > manifest["num_records"]:
+        raise DatasetError(f"{mpath}: num_train exceeds num_records")
+    return manifest
 
 
 def load_dataset(path) -> tuple[list[InteractionRecord], dict]:
-    """Load and validate a JSONL dataset; returns (records, manifest)."""
+    """Load and validate a JSONL dataset; returns (records, manifest).
+
+    Every malformed line or manifest raises DatasetError naming it,
+    including feature ids outside the manifest's vocabulary sizes."""
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset not found: {path}")
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DatasetError(f"manifest not found: {mpath}")
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    if manifest.get("version") != SCHEMA_VERSION:
-        raise DatasetError(
-            f"{mpath}: schema version {manifest.get('version')} != supported {SCHEMA_VERSION}"
-        )
+    manifest = _read_manifest(mpath)
     records = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"line {line_no}: not UTF-8") from exc
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"line {line_no}: malformed JSON ({exc.msg})") from exc
             try:

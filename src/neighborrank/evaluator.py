@@ -19,7 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import CheckpointError, load_arrays, save_arrays
+from .config import TrainingSection
 from .datagen import InteractionRecord
 from .optim import Adam, raise_if_unchanged
 from .params import Layout, ParamSet
@@ -73,19 +74,12 @@ class ModelDims:
 
     @classmethod
     def from_meta(cls, meta: np.ndarray) -> "ModelDims":
+        if meta.ndim != 1 or len(meta) < 9 or not ((meta >= 1) & (meta == np.round(meta))).all():
+            raise CheckpointError(f"meta.dims {meta.tolist()} is not 9 or more positive integers")
         vals = [int(v) for v in meta.tolist()]
         return cls(item_vocab=vals[0], cat_vocab=vals[1], brand_vocab=vals[2],
                    list_size=vals[3], num_candidates=vals[4], history_sessions=vals[5],
                    embed_dim=vals[6], num_fields=vals[7], mlp_hidden=tuple(vals[8:]))
-
-    @classmethod
-    def from_manifest(cls, manifest: dict, embed_dim: int = 8,
-                      mlp_hidden: tuple[int, ...] = (64, 32)) -> "ModelDims":
-        return cls(item_vocab=manifest["num_items"], cat_vocab=manifest["num_categories"],
-                   brand_vocab=manifest["num_brands"], list_size=manifest["list_size"],
-                   num_candidates=manifest["num_candidates"],
-                   history_sessions=manifest["history_sessions"],
-                   embed_dim=embed_dim, mlp_hidden=tuple(mlp_hidden))
 
 
 @dataclass
@@ -143,11 +137,25 @@ class EvaluatorParams:
 
     @classmethod
     def load(cls, path, trainable: bool = False) -> "EvaluatorParams":
-        arrays = load_arrays(path)
-        dims = ModelDims.from_meta(arrays.pop("meta.dims"))
+        dims, _, arrays = read_checkpoint(path, with_scale=False)
         params = cls(dims, ParamSet.from_arrays(_layout(dims), arrays))
         params.set_trainable(trainable)
         return params
+
+
+def read_checkpoint(path, with_scale: bool) -> tuple[ModelDims, float, dict[str, np.ndarray]]:
+    """Parameter arrays of a checkpoint plus its checked metadata: the model
+    dims and the reward scale (required with_scale, else 1.0 when absent).
+    Raises CheckpointError for missing or malformed metadata."""
+    arrays = load_arrays(path)
+    for name in ("meta.dims", "meta.reward_scale")[: 1 + with_scale]:
+        if name not in arrays:
+            raise CheckpointError(f"{path}: missing {name!r}")
+    dims = ModelDims.from_meta(arrays.pop("meta.dims"))
+    scale = arrays.pop("meta.reward_scale", np.array(1.0))
+    if scale.shape != () or not 0 < scale < math.inf:
+        raise CheckpointError(f"{path}: meta.reward_scale {scale} is not positive and finite")
+    return dims, float(scale), arrays
 
 
 def embed_lists(ids: np.ndarray, params: EvaluatorParams) -> Tensor:
@@ -329,11 +337,9 @@ def evaluate_metrics(records: list[InteractionRecord], params: EvaluatorParams) 
 def train_evaluator(train_records: list[InteractionRecord],
                     test_records: list[InteractionRecord],
                     dims: ModelDims,
-                    lr: float = 1e-3,
-                    batch_size: int = 64,
-                    epochs: int = 8,
-                    seed: int = 0) -> tuple[EvaluatorParams, list[dict]]:
-    """Minibatch Adam training; returns the best-AUC snapshot and history.
+                    training: TrainingSection) -> tuple[EvaluatorParams, list[dict]]:
+    """Minibatch Adam training for `training.eval_epochs` epochs; returns the
+    best-AUC snapshot and history.
 
     History carries one row per epoch and split with AUC, log loss and NDCG.
     Identical seed and data reproduce the history bit for bit.
@@ -341,9 +347,9 @@ def train_evaluator(train_records: list[InteractionRecord],
     """
     if not train_records or not test_records:
         raise ValueError("train and test sets must be nonempty")
-    rng = RngStream(seed).split("evaluator")
+    rng = RngStream(training.seed).split("evaluator")
     params = EvaluatorParams.init(dims, rng.split("init"))
-    opt = Adam(params.trainable(), lr=lr)
+    opt = Adam(params.trainable(), lr=training.lr)
 
     exposed = np.stack([r.exposed_ids for r in train_records])
     sessions = np.stack([r.session_ids for r in train_records])
@@ -354,13 +360,13 @@ def train_evaluator(train_records: list[InteractionRecord],
     history: list[dict] = []
     best_auc = -1.0
     best_values = params.values()
-    for epoch in range(epochs):
+    for epoch in range(training.eval_epochs):
         order = rng.split("shuffle", epoch).permutation(n)
         start_values = {k: p.value.copy() for k, p in opt.params.items()}
         epoch_loss = 0.0
         batches = 0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, training.batch_size):
+            idx = order[start : start + training.batch_size]
             e_user = encode_sessions(sessions[idx], params)
             pctr, pcvr = predict_graph(exposed[idx], e_user, params)
             loss = loss_graph(pctr, pcvr, clicks[idx], convs[idx])

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import save_arrays
 from .evaluator import (
     EvaluatorParams,
     ModelDims,
@@ -34,6 +34,7 @@ from .evaluator import (
     encode_sessions,
     flatten_items,
     list_attention,
+    read_checkpoint,
     self_attention_pool,
 )
 from .params import Layout, ParamSet
@@ -51,14 +52,6 @@ class GumbelConfig:
     theta_p: float | None = None     # defaults to 2/m
     theta_c: float | None = None     # defaults to 2/n
     max_steps: int | None = None     # defaults to 2m
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-        for name in ("theta_p", "theta_c"):
-            v = getattr(self, name)
-            if v is not None and not (0.0 < v <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
 
     def resolved(self, dims: ModelDims) -> "GumbelConfig":
         return GumbelConfig(
@@ -106,11 +99,9 @@ class GeneratorParams:
 
     @classmethod
     def load(cls, path, shared: EvaluatorParams, trainable: bool = False) -> "GeneratorParams":
-        arrays = load_arrays(path)
-        dims = ModelDims.from_meta(arrays.pop("meta.dims"))
+        dims, scale, arrays = read_checkpoint(path, with_scale=True)
         if dims != shared.dims:
             raise ValueError(f"generator dims {dims} do not match shared evaluator dims {shared.dims}")
-        scale = float(arrays.pop("meta.reward_scale"))
         out = cls(shared, ParamSet.from_arrays(_layout(dims), arrays), scale)
         out.ps.set_trainable(trainable)
         return out

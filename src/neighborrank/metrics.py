@@ -58,10 +58,6 @@ class PermutationSpace:
         return np.array(list(self), dtype=np.int64)
 
 
-def enumerate_permutations(n: int, m: int) -> PermutationSpace:
-    return PermutationSpace(n, m)
-
-
 def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative.
 

@@ -18,6 +18,8 @@ def _checked(values: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -
     arr = np.asarray(values[name], dtype=np.float64)
     if arr.shape != shape:
         raise CheckpointError(f"parameter {name!r}: shape {arr.shape} != expected {shape}")
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"parameter {name!r}: non-finite values")
     return arr
 
 
@@ -54,17 +56,11 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def __iter__(self):
         return iter(self._tensors)
 
     def items(self):
         return self._tensors.items()
-
-    def tensors(self) -> dict[str, Tensor]:
-        return dict(self._tensors)
 
     def trainable(self) -> dict[str, Tensor]:
         return {k: t for k, t in self._tensors.items() if t.requires_grad}
@@ -80,7 +76,3 @@ class ParamSet:
     def load_values(self, values: dict[str, np.ndarray]):
         for name, t in self._tensors.items():
             t.value = _checked(values, name, t.value.shape).copy()
-
-    def zero_grads(self):
-        for t in self._tensors.values():
-            t.zero_grad()

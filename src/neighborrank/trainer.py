@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TrainingSection
 from .datagen import InteractionRecord
 from .evaluator import (
     EvaluatorParams,
@@ -51,12 +52,16 @@ class RewardConfig:
     cvr_mode: str = "sum"       # "sum" of per-slot values or "expected" conversions
 
     def __post_init__(self):
-        if self.k1 < 0 or self.k2 < 0 or (self.k1 == 0 and self.k2 == 0):
-            raise ValueError("k1 and k2 must be nonnegative and not both zero")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.cvr_mode not in ("sum", "expected"):
-            raise ValueError(f"cvr_mode must be 'sum' or 'expected', got {self.cvr_mode!r}")
+        # k1/k2 and cvr_mode arrive validated by TrainingSection; the scale
+        # may come from a checkpoint
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+
+
+def reward_config(training: TrainingSection, scale: float) -> RewardConfig:
+    """The reward weighting of a training config at one utility scale."""
+    return RewardConfig(k1=training.k1, k2=training.k2, scale=scale,
+                        cvr_mode=training.cvr_total_mode)
 
 
 def shaped_reward(w):
@@ -85,11 +90,6 @@ def list_utility(pctr: np.ndarray, pcvr: np.ndarray, cfg: RewardConfig):
 def list_reward(pctr: np.ndarray, pcvr: np.ndarray, cfg: RewardConfig):
     """Shaped reward of one or many lists."""
     return shaped_reward(list_utility(pctr, pcvr, cfg))
-
-
-def relative_rewards(neighbor_rewards, origin_reward):
-    """Neighbor reward minus origin reward, elementwise."""
-    return np.asarray(neighbor_rewards, dtype=np.float64) - origin_reward
 
 
 @dataclass
@@ -125,12 +125,11 @@ def replacement_pool(list_idx, position: int, num_candidates: int) -> np.ndarray
 
 
 def sampled_positions(m: int, beta: float, rng: RngStream) -> list[int]:
-    if 0 < beta < 1:
+    """A beta fraction of the m slots, or every slot for an integer beta."""
+    if beta < 1:
         count = max(1, int(round(beta * m)))
         return sorted(int(i) for i in rng.choice(m, count))
-    if beta >= 1 and float(beta).is_integer():
-        return list(range(m))
-    raise ValueError(f"beta must be a fraction in (0,1) or a positive integer, got {beta}")
+    return list(range(m))
 
 
 def build_neighbors(list_idx, num_candidates: int, beta: float, rng: RngStream) -> NeighborSet:
@@ -196,35 +195,11 @@ def position_guidance_loss(soft_p: Tensor, position_rewards: np.ndarray) -> Tens
     return ad.reduce_mean(per_record, axis=0)
 
 
-@dataclass
-class TrainConfig:
-    alpha: float = 0.2
-    beta: float = 1.0
-    lr: float = 1e-3
-    batch_size: int = 64
-    epochs: int = 4
-    seed: int = 0
-    tau_start: float = 1.0
-    tau_end: float = 0.3
-    k1: float = 1.0
-    k2: float = 1.0
-    cvr_mode: str = "sum"
-    use_relative: bool = True    # False reproduces the raw-reward ablation
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if not (0 < self.beta < 1 or (self.beta >= 1 and float(self.beta).is_integer())):
-            raise ValueError(f"beta must be a fraction in (0,1) or integer >= 1, got {self.beta}")
-        if self.tau_start <= 0 or self.tau_end <= 0:
-            raise ValueError("temperatures must be positive")
-
-
-def fit_reward_scale(pctr: np.ndarray, pcvr: np.ndarray, cfg: TrainConfig) -> RewardConfig:
+def fit_reward_scale(pctr: np.ndarray, pcvr: np.ndarray,
+                     training: TrainingSection) -> RewardConfig:
     """Pick the scale that centers mean train utility at 1 (order-preserving)."""
-    raw = RewardConfig(k1=cfg.k1, k2=cfg.k2, scale=1.0, cvr_mode=cfg.cvr_mode)
-    mean_w = float(list_utility(pctr, pcvr, raw).mean())
-    return RewardConfig(k1=cfg.k1, k2=cfg.k2, scale=max(mean_w, 1e-9), cvr_mode=cfg.cvr_mode)
+    mean_w = float(list_utility(pctr, pcvr, reward_config(training, 1.0)).mean())
+    return reward_config(training, max(mean_w, 1e-9))
 
 
 class _TrainCache:
@@ -257,10 +232,13 @@ class _TrainCache:
 
 def train_generator(train_records: list[InteractionRecord],
                     eval_params: EvaluatorParams,
-                    cfg: TrainConfig,
+                    training: TrainingSection,
                     epoch_callback=None) -> tuple[GeneratorParams, list[dict], RewardConfig]:
     """Train the edit heads against the frozen evaluator.
 
+    Runs `training.gen_epochs` epochs and resolves the ablation: "no-l2"
+    trains with alpha = 0, "no-relative-reward" rewards neighbors by their
+    raw shaped reward instead of its gain over the origin list.
     Returns the generator, a history row per epoch (mean main/auxiliary loss
     and anything the callback adds) and the fitted reward config. The shared
     evaluator parameters are never updated; only generator-owned tensors are
@@ -270,47 +248,47 @@ def train_generator(train_records: list[InteractionRecord],
     """
     if not train_records:
         raise ValueError("train set must be nonempty")
-    if any(t.requires_grad for t in eval_params.ps.tensors().values()):
-        eval_params.set_trainable(False)
-    dims = eval_params.dims
-    n, m = dims.num_candidates, dims.list_size
+    eval_params.set_trainable(False)
+    alpha = 0.0 if training.ablation == "no-l2" else training.alpha
 
     cache = _TrainCache(train_records, eval_params)
-    reward_cfg = fit_reward_scale(cache.exposed_pctr, cache.exposed_pcvr, cfg)
-    origin_rewards = list_reward(cache.exposed_pctr, cache.exposed_pcvr, reward_cfg)
+    reward_cfg = fit_reward_scale(cache.exposed_pctr, cache.exposed_pcvr, training)
+    baseline = list_reward(cache.exposed_pctr, cache.exposed_pcvr, reward_cfg)
+    if training.ablation == "no-relative-reward":
+        baseline = np.zeros_like(baseline)
 
-    rng = RngStream(cfg.seed).split("generator")
+    rng = RngStream(training.seed).split("generator")
     gp = GeneratorParams.init(eval_params, rng.split("init"))
     gp.reward_scale = reward_cfg.scale
-    opt = Adam(gp.trainable(), lr=cfg.lr)
+    opt = Adam(gp.trainable(), lr=training.lr)
 
     n_records = cache.n_records
-    batches_per_epoch = math.ceil(n_records / cfg.batch_size)
-    total_steps = max(1, cfg.epochs * batches_per_epoch)
+    batches_per_epoch = math.ceil(n_records / training.batch_size)
+    total_steps = max(1, training.gen_epochs * batches_per_epoch)
     history: list[dict] = []
     step = 0
-    for epoch in range(cfg.epochs):
+    for epoch in range(training.gen_epochs):
         order = rng.split("shuffle", epoch).permutation(n_records)
         start_values = {k: p.value.copy() for k, p in opt.params.items()}
         sums = {"main": 0.0, "aux": 0.0, "total": 0.0}
-        for bstart in range(0, n_records, cfg.batch_size):
-            idx = order[bstart : bstart + cfg.batch_size]
+        for bstart in range(0, n_records, training.batch_size):
+            idx = order[bstart : bstart + training.batch_size]
             b = len(idx)
             frac = step / max(1, total_steps - 1)
-            tau = cfg.tau_start + (cfg.tau_end - cfg.tau_start) * frac
+            tau = training.tau_start + (training.tau_end - training.tau_start) * frac
             gcfg = GumbelConfig(tau=tau, noise=True)
 
             rewards, pos_rewards, pdu_noise, cru_noise = _batch_rewards(
-                cache, origin_rewards, idx, eval_params, reward_cfg, cfg, epoch)
+                cache, baseline, idx, eval_params, reward_cfg, training, epoch)
 
             sampled_p, policy_p, soft_c = _batch_forward(cache, idx, gp, gcfg,
                                                          pdu_noise, cru_noise)
             main = counterfactual_reward_loss(sampled_p, soft_c, rewards)
             aux = position_guidance_loss(policy_p, pos_rewards)
-            loss = ad.add(main, ad.scale(aux, cfg.alpha))
+            loss = ad.add(main, ad.scale(aux, alpha))
             if not np.isfinite(loss.value).all():
                 raise FloatingPointError(f"non-finite generator loss at epoch {epoch}, "
-                                         f"batch {bstart // cfg.batch_size}")
+                                         f"batch {bstart // training.batch_size}")
             loss.backward()
             opt.step()
             opt.zero_grad()
@@ -329,10 +307,13 @@ def train_generator(train_records: list[InteractionRecord],
     return gp, history, reward_cfg
 
 
-def _batch_rewards(cache: _TrainCache, origin_rewards: np.ndarray, idx: np.ndarray,
+def _batch_rewards(cache: _TrainCache, baseline: np.ndarray, idx: np.ndarray,
                    eval_params: EvaluatorParams, reward_cfg: RewardConfig,
-                   cfg: TrainConfig, epoch: int):
+                   training: TrainingSection, epoch: int):
     """Neighbor sampling, evaluator scoring and reward tensors for one batch.
+
+    A neighbor's reward is its shaped reward minus its record's baseline
+    (the origin list's reward, or zero for raw rewards).
 
     Uses one stream per (record, epoch), so results do not depend on batch
     composition or visit order.
@@ -349,10 +330,11 @@ def _batch_rewards(cache: _TrainCache, origin_rewards: np.ndarray, idx: np.ndarr
     all_lists = []
     sample_refs = []   # (row, position, candidate)
     for row, rec_i in enumerate(idx):
-        rstream = RngStream(cfg.seed).split("sampling", epoch, int(rec_i))
+        rstream = RngStream(training.seed).split("sampling", epoch, int(rec_i))
         pdu_noise[row] = rstream.gumbel((m,))
         cru_noise[row] = rstream.gumbel((m, n))
-        nset = build_neighbors(cache.exposed_idx[rec_i], n, cfg.beta, rstream.split("neighbors"))
+        nset = build_neighbors(cache.exposed_idx[rec_i], n, training.beta,
+                               rstream.split("neighbors"))
         for s in nset.samples:
             all_lists.append(cache.cand_ids[rec_i][list(s.neighbor)])
             sample_refs.append((row, s.position, s.candidate))
@@ -365,8 +347,7 @@ def _batch_rewards(cache: _TrainCache, origin_rewards: np.ndarray, idx: np.ndarr
         pctr, pcvr = scores_for_lists(stacked, e_user_rep, eval_params)
         shaped = list_reward(pctr, pcvr, reward_cfg)
         for (row, j, k), value in zip(sample_refs, shaped):
-            rec_i = idx[row]
-            rel = value - origin_rewards[rec_i] if cfg.use_relative else value
+            rel = value - baseline[idx[row]]
             rewards[row, j, k] += rel
             pos_sum[row, j] += rel
             pos_cnt[row, j] += 1

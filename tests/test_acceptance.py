@@ -15,9 +15,10 @@ from neighborrank import evaluator as ev
 from neighborrank import pipeline as pl
 from neighborrank import trainer as tr
 from neighborrank.cli import main as cli_main
+from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.generator import GumbelConfig, gumbel_sample
-from neighborrank.metrics import enumerate_permutations, hit_ratio
+from neighborrank.metrics import PermutationSpace, hit_ratio
 from neighborrank.rng import RngStream
 
 
@@ -167,8 +168,8 @@ class TestCriterion3RewardShaping:
 
 class TestCriterion4PermutationSpace:
     def test_counts_and_timed_scoring(self):
-        c55 = enumerate_permutations(5, 5).count
-        c124 = enumerate_permutations(12, 4).count
+        c55 = PermutationSpace(5, 5).count
+        c124 = PermutationSpace(12, 4).count
         dims = ev.ModelDims(item_vocab=50, cat_vocab=8, brand_vocab=12,
                             list_size=4, num_candidates=12, history_sessions=3)
         params = ev.EvaluatorParams.init(dims, RngStream(77))
@@ -178,7 +179,7 @@ class TestCriterion4PermutationSpace:
         start = time.time()
         with ad.no_grad():
             e_user = ev.encode_sessions(rec_sessions[None], params).value
-        space = enumerate_permutations(12, 4)
+        space = PermutationSpace(12, 4)
         perms = space.as_array()
         rewards = np.empty(space.count)
         cfg = tr.RewardConfig()
@@ -237,19 +238,20 @@ def e2e():
                         num_candidates=cfg.num_candidates,
                         history_sessions=cfg.history_sessions)
     t0 = time.time()
-    eval_params, eval_history = ev.train_evaluator(train, test, dims, epochs=6, seed=1)
+    eval_params, eval_history = ev.train_evaluator(train, test, dims,
+                                                   TrainingSection(eval_epochs=6, seed=1))
     timing["train_eval"] = time.time() - t0
 
     t0 = time.time()
-    tcfg = tr.TrainConfig(epochs=12, seed=2)
-    gen_full, _, reward_cfg = tr.train_generator(train, eval_params, tcfg)
+    training = TrainingSection(gen_epochs=12, seed=2)
+    gen_full, _, reward_cfg = tr.train_generator(train, eval_params, training)
     timing["train_gen"] = time.time() - t0
 
     t0 = time.time()
     e_user_test = ev.user_vectors(test, eval_params)
     tables = pl.build_oracle_tables(test, eval_params, reward_cfg,
                                     e_user_cache=e_user_test)
-    gcfg = GumbelConfig(tau=tcfg.tau_end, noise=False)
+    gcfg = GumbelConfig(tau=training.tau_end, noise=False)
     lists = pl.baseline_lists(test, eval_params, seed=3, e_user_cache=e_user_test)
     lists["generator"], _ = pl.rerank_records(test, gen_full, gcfg,
                                               e_user_cache=e_user_test)
@@ -260,13 +262,14 @@ def e2e():
         "cfg": cfg, "train": train, "test": test, "eval_params": eval_params,
         "eval_history": eval_history, "gen_full": gen_full, "reward_cfg": reward_cfg,
         "tables": tables, "e_user_test": e_user_test, "gcfg": gcfg,
-        "lists": lists, "report": report, "timing": timing, "tcfg": tcfg,
+        "lists": lists, "report": report, "timing": timing,
     }
 
 
 def train_variant(e2e_state, **overrides):
-    tcfg = tr.TrainConfig(epochs=12, seed=2, **overrides)
-    gp, _, reward_cfg = tr.train_generator(e2e_state["train"], e2e_state["eval_params"], tcfg)
+    training = TrainingSection(gen_epochs=12, seed=2, **overrides)
+    gp, _, reward_cfg = tr.train_generator(e2e_state["train"], e2e_state["eval_params"],
+                                           training)
     gen_lists, _ = pl.rerank_records(e2e_state["test"], gp, e2e_state["gcfg"],
                                      e_user_cache=e2e_state["e_user_test"])
     tables = e2e_state["tables"]
@@ -278,7 +281,7 @@ def train_variant(e2e_state, **overrides):
 def ablations(e2e):
     return {
         "alpha0": train_variant(e2e, alpha=0.0),
-        "no_relative": train_variant(e2e, use_relative=False),
+        "no_relative": train_variant(e2e, ablation="no-relative-reward"),
         "beta01": train_variant(e2e, beta=0.1),
     }
 

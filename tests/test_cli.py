@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from neighborrank import autodiff as ad
 from neighborrank.checkpoint import load_arrays, save_arrays
@@ -27,6 +32,17 @@ def write_config(tmp_path, out_name="run", **overrides):
     path = tmp_path / f"cfg_{out_name}.json"
     path.write_text(json.dumps(payload))
     return path, tmp_path / out_name
+
+
+RUN_FILES = ("dataset.jsonl", "dataset.jsonl.manifest.json", "eval.ckpt", "gen.ckpt")
+
+
+def copy_run(src: Path, out: Path) -> Path:
+    """Copy the inputs of rerank and bench from one run directory to another."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name in RUN_FILES:
+        (out / name).write_bytes((src / name).read_bytes())
+    return out
 
 
 def run_pipeline(cfg_path, upto="bench"):
@@ -136,28 +152,90 @@ class TestExitCodes:
             assert main(["train-eval", "--config", str(cfg_path)]) == 1
         assert "unchanged" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["missing", "wrong-shape"])
+    # checkpoint, array, its damaged value (None deletes it), what the error names
+    DAMAGE = {
+        "missing": ("eval.ckpt", "head.cvr.b", None, "'head.cvr.b'"),
+        "wrong-shape": ("eval.ckpt", "head.cvr.b", np.zeros(2), "'head.cvr.b'"),
+        "no-dims": ("eval.ckpt", "meta.dims", None, "'meta.dims'"),
+        "short-dims": ("eval.ckpt", "meta.dims", np.ones(5), "meta.dims"),
+        "nan-scale": ("gen.ckpt", "meta.reward_scale", np.array(np.nan), "meta.reward_scale"),
+        "nan-tensor": ("gen.ckpt", "pdu.b", np.array([np.nan]), "'pdu.b'"),
+    }
+
+    @pytest.mark.parametrize("damage", list(DAMAGE))
     def test_damaged_checkpoint_tensor_is_1(self, pipeline_run, tmp_path, capsys, damage):
         cfg_path, src = pipeline_run
-        out = tmp_path / "damaged"
-        out.mkdir()
-        for name in ("dataset.jsonl", "dataset.jsonl.manifest.json", "eval.ckpt", "gen.ckpt"):
-            (out / name).write_bytes((src / name).read_bytes())
-        arrays = load_arrays(out / "eval.ckpt")
-        if damage == "missing":
-            del arrays["head.cvr.b"]
+        out = copy_run(src, tmp_path / "damaged")
+        ckpt, name, value, named = self.DAMAGE[damage]
+        arrays = load_arrays(out / ckpt)
+        if value is None:
+            del arrays[name]
         else:
-            arrays["head.cvr.b"] = np.zeros(2)
-        save_arrays(out / "eval.ckpt", arrays)
+            arrays[name] = value
+        save_arrays(out / ckpt, arrays)
         capsys.readouterr()
         assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'head.cvr.b'" in err
-        assert "Traceback" not in err
+        assert err.startswith("error: ") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_training_is_1(self, pipeline_run, tmp_path, capsys):
+        # a step size this large sends the generator's logits to infinity
+        _, src = pipeline_run
+        cfg_path, out = write_config(tmp_path, "diverged", training={"lr": 1e300})
+        copy_run(src, out)
+        capsys.readouterr()
+        assert main(["train-gen", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.json")]) == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """A tiny finished run (60 records) whose inputs the fuzz test damages."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg_path, out_dir = write_config(
+        tmp, data={"num_records": 60},
+        training={"eval_epochs": 1, "gen_epochs": 1, "hr_validation_records": 6})
+    run_pipeline(cfg_path)
+    return cfg_path, out_dir
+
+
+class TestFuzzInputs:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("target", RUN_FILES)
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_input_exits_with_a_code(self, fuzz_run, target, data):
+        """One-byte substitutions and truncations of a run's inputs end in a
+        documented exit code with one error line, never an exception."""
+        cfg_path, src = fuzz_run
+        raw = bytearray((src / target).read_bytes())
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        if data.draw(st.booleans(), label="truncate"):
+            del raw[pos:]
+        else:
+            # digits keep most JSON valid and reach the range checks
+            raw[pos] = data.draw(st.sampled_from(b"0123456789") | st.integers(0, 255),
+                                 label="byte")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = copy_run(src, Path(tmp))
+            (out / target).write_bytes(bytes(raw))
+            commands = ["bench"] if target.endswith(".ckpt") else ["train-eval", "bench"]
+            for cmd in commands:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    rc = main([cmd, "--config", str(cfg_path), "--out", str(out)])
+                assert rc in (0, 1, 2, 3), (cmd, rc)
+                if rc:
+                    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestSeedOverride:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from neighborrank.config import (
     Config,
     ConfigError,
-    apply_ablation,
     config_from_dict,
     config_hash,
     default_config,
@@ -62,12 +60,17 @@ def test_wrong_version():
     ("training", "cvr_total_mode", "mean", "cvr_total_mode"),
     ("training", "ablation", "bogus", "ablation"),
     ("training", "k1", -1.0, "k1"),
+    ("training", "theta_c", 1.5, "theta_c"),
+    ("training", "hr_validation_records", 0, "hr_validation_records"),
+    pytest.param("training", ("k1", "k2"), 0.0, "k1/k2", id="training-k1-k2-0.0-k1/k2"),
     ("model", "num_fields", 4, "num_fields"),
     ("data", "list_size", 9, "list_size"),
     ("data", "position_slope", 0.0, "position_slope"),
+    ("data", "num_brands", 0, "num_brands"),
 ])
 def test_validation_errors(section, key, value, hint):
-    payload = {"version": 1, section: {key: value}}
+    keys = key if isinstance(key, tuple) else (key,)
+    payload = {"version": 1, section: dict.fromkeys(keys, value)}
     with pytest.raises(ConfigError, match=hint):
         config_from_dict(payload)
 
@@ -76,13 +79,6 @@ def test_validation_errors(section, key, value, hint):
 def test_canonical_beta_sweep_values_validate(beta):
     cfg = config_from_dict({"version": 1, "training": {"beta": beta}})
     assert cfg.training.beta == beta
-
-
-def test_ablation_resolution():
-    t = dataclasses.replace(default_config().training, ablation="no-l2", alpha=0.2)
-    assert apply_ablation(t).alpha == 0.0
-    t2 = dataclasses.replace(default_config().training, ablation="no-relative-reward")
-    assert apply_ablation(t2).alpha == t2.alpha
 
 
 def test_set_by_dotted_key():

@@ -6,6 +6,7 @@ import pytest
 from neighborrank import autodiff as ad
 from neighborrank import evaluator as ev
 from neighborrank.checkpoint import CheckpointError, load_arrays, save_arrays
+from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.optim import TrainingStalled
 from neighborrank.rng import RngStream
@@ -300,8 +301,8 @@ class TestTraining:
                             num_candidates=cfg.num_candidates,
                             history_sessions=cfg.history_sessions,
                             embed_dim=4, mlp_hidden=(16, 8))
-        params, history = ev.train_evaluator(train, test, dims, epochs=3,
-                                             batch_size=32, seed=1)
+        params, history = ev.train_evaluator(
+            train, test, dims, TrainingSection(eval_epochs=3, batch_size=32, seed=1))
         train_rows = [row for row in history if row["split"] == "train"]
         assert train_rows[0]["loss"] > train_rows[1]["loss"] > train_rows[2]["loss"]
         test_rows = [row for row in history if row["split"] == "test"]
@@ -314,8 +315,9 @@ class TestTraining:
                             num_candidates=cfg.num_candidates,
                             history_sessions=cfg.history_sessions,
                             embed_dim=4, mlp_hidden=(8,))
-        _, h1 = ev.train_evaluator(train, test, dims, epochs=2, seed=9)
-        _, h2 = ev.train_evaluator(train, test, dims, epochs=2, seed=9)
+        training = TrainingSection(eval_epochs=2, seed=9)
+        _, h1 = ev.train_evaluator(train, test, dims, training)
+        _, h2 = ev.train_evaluator(train, test, dims, training)
         assert h1 == h2
 
     def test_swapping_items_changes_predictions(self):
@@ -325,7 +327,7 @@ class TestTraining:
                             num_candidates=cfg.num_candidates,
                             history_sessions=cfg.history_sessions,
                             embed_dim=4, mlp_hidden=(16, 8))
-        params, _ = ev.train_evaluator(train, test, dims, epochs=3, seed=1)
+        params, _ = ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=3, seed=1))
         rec = test[0]
         ids = rec.exposed_ids.copy()
         swapped = ids.copy()
@@ -347,7 +349,7 @@ class TestTraining:
                             embed_dim=4, mlp_hidden=(8,))
         with ad.no_grad():
             with pytest.raises(TrainingStalled, match="evaluator epoch 0"):
-                ev.train_evaluator(train, test, dims, epochs=1, seed=2)
+                ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=1, seed=2))
 
     def test_empty_dataset_rejected(self):
         cfg, train, test = small_dataset()
@@ -356,4 +358,4 @@ class TestTraining:
                             num_candidates=cfg.num_candidates,
                             history_sessions=cfg.history_sessions)
         with pytest.raises(ValueError):
-            ev.train_evaluator([], test, dims)
+            ev.train_evaluator([], test, dims, TrainingSection())

@@ -13,7 +13,6 @@ from neighborrank.metrics import (
     MetricError,
     PermutationSpace,
     auc,
-    enumerate_permutations,
     greedy_order,
     hit_cutoff,
     hit_ratio,
@@ -39,34 +38,34 @@ def pairwise_auc_oracle(scores, labels):
 
 class TestPermutations:
     def test_counts_match_reported_sizes(self):
-        assert enumerate_permutations(5, 5).count == 120
-        assert enumerate_permutations(12, 4).count == 11_880
-        assert enumerate_permutations(3, 2).count == 6
+        assert PermutationSpace(5, 5).count == 120
+        assert PermutationSpace(12, 4).count == 11_880
+        assert PermutationSpace(3, 2).count == 6
 
     def test_count_matches_closed_form(self):
         for n in range(1, 13):
             for m in range(1, min(n, 5) + 1):
-                space = enumerate_permutations(n, m)
+                space = PermutationSpace(n, m)
                 assert space.count == math.factorial(n) // math.factorial(n - m)
 
     def test_enumeration_is_exact_and_unique(self):
-        space = enumerate_permutations(5, 3)
+        space = PermutationSpace(5, 3)
         perms = list(space)
         assert len(perms) == space.count
         assert len(set(perms)) == space.count
 
     def test_rejects_m_greater_than_n(self):
         with pytest.raises(MetricError):
-            enumerate_permutations(3, 4)
+            PermutationSpace(3, 4)
 
     def test_index_matches_enumeration_order(self):
-        space = enumerate_permutations(6, 3)
+        space = PermutationSpace(6, 3)
         for i, perm in enumerate(space):
             assert space.index(perm) == i
 
     def test_index_rejects_duplicates(self):
         with pytest.raises(MetricError):
-            enumerate_permutations(4, 3).index((1, 1, 2))
+            PermutationSpace(4, 3).index((1, 1, 2))
 
 
 class TestAuc:
@@ -143,7 +142,7 @@ def oracle_inputs(num_candidates: int, list_size: int):
 class TestOracleRank:
     def test_hand_sorted_table(self):
         # n=3, m=2: six lists, scored by a hand-set table
-        space = enumerate_permutations(3, 2)
+        space = PermutationSpace(3, 2)
         table = {
             (0, 1): 0.9, (0, 2): 0.4, (1, 0): 0.7,
             (1, 2): 0.4, (2, 0): 0.1, (2, 1): 0.95,

@@ -6,6 +6,7 @@ import pytest
 from neighborrank import evaluator as ev
 from neighborrank import pipeline as pl
 from neighborrank import trainer as tr
+from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.generator import GumbelConfig
 from neighborrank.metrics import PermutationSpace, hit_ratio
@@ -23,9 +24,10 @@ def setup():
                         num_candidates=cfg.num_candidates,
                         history_sessions=cfg.history_sessions,
                         embed_dim=6, mlp_hidden=(24, 12))
-    eval_params, _ = ev.train_evaluator(train, test, dims, epochs=3, seed=1)
+    eval_params, _ = ev.train_evaluator(train, test, dims,
+                                        TrainingSection(eval_epochs=3, seed=1))
     gp, _, reward_cfg = tr.train_generator(train, eval_params,
-                                           tr.TrainConfig(epochs=2, seed=2))
+                                           TrainingSection(gen_epochs=2, seed=2))
     e_user = ev.user_vectors(test, eval_params)
     tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user_cache=e_user)
     return dict(cfg=cfg, test=test, eval_params=eval_params, gp=gp,
@@ -89,7 +91,8 @@ def test_training_after_pipeline_still_learns(setup, monkeypatch):
 
     monkeypatch.setattr(ev.EvaluatorParams, "init", classmethod(spy_init))
     trained, _ = ev.train_evaluator(setup["test"][:100], setup["test"][100:],
-                                    setup["eval_params"].dims, epochs=1, seed=4)
+                                    setup["eval_params"].dims,
+                                    TrainingSection(eval_epochs=1, seed=4))
     assert initial
     changed = [name for name, value in trained.values().items()
                if not np.array_equal(value, initial[name])]

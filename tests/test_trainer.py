@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from neighborrank import autodiff as ad
 from neighborrank import evaluator as ev
 from neighborrank import trainer as tr
+from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.generator import GumbelConfig, apply_move, gumbel_sample
 from neighborrank.optim import TrainingStalled
@@ -53,31 +52,15 @@ class TestListReward:
         assert tr.list_utility(np.array([1.0]), np.array([1.0]), cfg) == pytest.approx(1.0)
 
     def test_invalid_configs(self):
-        with pytest.raises(ValueError):
-            tr.RewardConfig(k1=0.0, k2=0.0)
-        with pytest.raises(ValueError):
-            tr.RewardConfig(scale=0.0)
-        with pytest.raises(ValueError):
-            tr.RewardConfig(cvr_mode="other")
+        # k1/k2 and cvr_mode are TrainingSection's to check; the scale may
+        # come from a checkpoint
+        for scale in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="scale"):
+                tr.RewardConfig(scale=scale)
 
     def test_non_finite_utility_rejected(self):
         with pytest.raises(FloatingPointError):
             tr.list_utility(np.array([np.inf]), np.array([0.5]), tr.RewardConfig())
-
-
-class TestRelativeRewards:
-    def test_subtraction(self):
-        assert tr.relative_rewards([0.5], 0.3)[0] == pytest.approx(0.2)
-
-    def test_identical_lists_zero(self):
-        assert tr.relative_rewards([0.3], 0.3)[0] == 0.0
-
-    @given(st.lists(st.floats(-2, 2), min_size=1, max_size=6), st.floats(-2, 2))
-    @settings(max_examples=50, deadline=None)
-    def test_sign_property(self, neighbors, origin):
-        rel = tr.relative_rewards(neighbors, origin)
-        for r, nb in zip(rel, neighbors):
-            assert np.sign(r) == np.sign(nb - origin)
 
 
 class TestBuildNeighbors:
@@ -120,10 +103,6 @@ class TestBuildNeighbors:
     def test_single_slot_single_candidate_fails(self):
         with pytest.raises(ValueError, match="pool too small"):
             tr.build_neighbors((0,), num_candidates=1, beta=1, rng=RngStream(9))
-
-    def test_invalid_beta(self):
-        with pytest.raises(ValueError):
-            tr.build_neighbors((0, 1), num_candidates=4, beta=1.5, rng=RngStream(10))
 
     @staticmethod
     def scalar_loop_neighbors(list_idx, num_candidates, beta, rng):
@@ -271,16 +250,32 @@ def small_setup(num_records=500, n_candidates=3, seed=3):
                         history_sessions=cfg.history_sessions,
                         embed_dim=4, mlp_hidden=(16, 8))
     eval_params, _ = ev.train_evaluator(records[:split], records[split:], dims,
-                                        epochs=2, batch_size=32, seed=1)
+                                        TrainingSection(eval_epochs=2, batch_size=32, seed=1))
     return records[:split], records[split:], eval_params
+
+
+def test_ablation_resolution():
+    # "no-l2" is alpha = 0; "no-relative-reward" changes what is learned
+    train, _, eval_params = small_setup(num_records=200)
+
+    def weights(**settings):
+        training = TrainingSection(gen_epochs=1, batch_size=32, seed=5, **settings)
+        return tr.train_generator(train, eval_params, training)[0].ps.values()
+
+    full, no_l2 = weights(), weights(ablation="no-l2")
+    alpha0, raw = weights(alpha=0.0), weights(ablation="no-relative-reward")
+    for name, value in no_l2.items():
+        assert value.tobytes() == alpha0[name].tobytes(), name
+    assert any(not np.array_equal(no_l2[k], full[k]) for k in full)
+    assert any(not np.array_equal(raw[k], full[k]) for k in full)
 
 
 class TestTrainGenerator:
     def test_frozen_evaluator_bit_identical_and_history(self):
         train, test, eval_params = small_setup(num_records=300)
         before = {k: v.copy() for k, v in eval_params.values().items()}
-        cfg = tr.TrainConfig(epochs=2, batch_size=32, seed=5)
-        gp, history, reward_cfg = tr.train_generator(train, eval_params, cfg)
+        training = TrainingSection(gen_epochs=2, batch_size=32, seed=5)
+        gp, history, reward_cfg = tr.train_generator(train, eval_params, training)
         after = eval_params.values()
         for name in before:
             assert before[name].tobytes() == after[name].tobytes(), name
@@ -290,24 +285,24 @@ class TestTrainGenerator:
 
     def test_alpha_zero_drops_auxiliary_term(self):
         train, test, eval_params = small_setup(num_records=300)
-        cfg = tr.TrainConfig(alpha=0.0, epochs=1, batch_size=32, seed=5)
-        _, history, _ = tr.train_generator(train, eval_params, cfg)
+        training = TrainingSection(alpha=0.0, gen_epochs=1, batch_size=32, seed=5)
+        _, history, _ = tr.train_generator(train, eval_params, training)
         row = history[0]
         assert row["loss_total"] == pytest.approx(row["loss_main"], abs=1e-12)
 
     def test_identical_seed_identical_history(self):
         train, test, eval_params = small_setup(num_records=300)
-        cfg = tr.TrainConfig(epochs=2, batch_size=32, seed=8)
-        _, h1, _ = tr.train_generator(train, eval_params, cfg)
-        _, h2, _ = tr.train_generator(train, eval_params, cfg)
+        training = TrainingSection(gen_epochs=2, batch_size=32, seed=8)
+        _, h1, _ = tr.train_generator(train, eval_params, training)
+        _, h2, _ = tr.train_generator(train, eval_params, training)
         assert h1 == h2
 
     def test_epoch_without_graph_raises(self):
         train, test, eval_params = small_setup(num_records=300)
-        cfg = tr.TrainConfig(epochs=1, batch_size=32, seed=5)
+        training = TrainingSection(gen_epochs=1, batch_size=32, seed=5)
         with ad.no_grad():
             with pytest.raises(TrainingStalled, match="generator epoch 0"):
-                tr.train_generator(train, eval_params, cfg)
+                tr.train_generator(train, eval_params, training)
 
     def test_batch_mean_matches_per_record_sum(self):
         # the batched loss equals the mean of single-record losses
