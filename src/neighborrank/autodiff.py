@@ -276,7 +276,8 @@ def expand_dims(a, axis: int) -> Tensor:
         if a.requires_grad:
             a._accum(np.squeeze(g, axis=axis))
 
-    return _make(np.expand_dims(a.value, axis), "expand_dims", (a,), bwd)
+    at = range(a.ndim + 1)[axis]   # np.expand_dims' position, by a cheaper reshape
+    return _make(a.value.reshape(a.shape[:at] + (1,) + a.shape[at:]), "expand_dims", (a,), bwd)
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -287,7 +288,9 @@ def broadcast_to(a, shape) -> Tensor:
         if a.requires_grad:
             a._accum(_unbroadcast(g, old_shape))
 
-    return _make(np.broadcast_to(a.value, shape).copy(), "broadcast", (a,), bwd)
+    out = np.empty(shape)
+    out[...] = a.value           # a broadcasting copy, without np.broadcast_to's overhead
+    return _make(out, "broadcast", (a,), bwd)
 
 
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:

@@ -17,6 +17,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluator as ev
 from . import pipeline as pl
 from . import trainer as tr
@@ -27,10 +29,12 @@ from .config import (
     config_from_dict,
     config_hash,
     load_config,
+    parse_json,
     set_by_dotted_key,
 )
 from .datagen import DatasetError, gen_logs, load_dataset, split_records
 from .generator import GeneratorParams, GumbelConfig
+from .metrics import hit_ratio
 
 DATASET_FILE = "dataset.jsonl"
 EVAL_CKPT = "eval.ckpt"
@@ -133,18 +137,15 @@ def cmd_train_gen(cfg: Config, out_dir: Path) -> None:
     eval_params = _load_evaluator(cfg, out_dir)
     val = test[: cfg.training.hr_validation_records]
     val_users = ev.user_vectors(val, eval_params)
-    tables_box: dict = {}
+    tables: list = []
     gcfg = _gumbel_config(cfg)
 
     def epoch_cb(gp, epoch):
-        if "tables" not in tables_box:
+        if not tables:
             rc = tr.reward_config(cfg.training, gp.reward_scale)
-            tables_box["tables"] = pl.build_oracle_tables(val, eval_params, rc,
-                                                          e_user_cache=val_users)
-        tables = tables_box["tables"]
+            tables.extend(pl.build_oracle_tables(val, eval_params, rc, e_user_cache=val_users))
         lists, _ = pl.rerank_records(val, gp, gcfg, e_user_cache=val_users)
-        ranks = [tables[i].rank(lists[i]) for i in range(len(val))]
-        from .metrics import hit_ratio
+        ranks = [table.rank(final) for table, final in zip(tables, lists)]
         return {"hr10_val": hit_ratio(ranks, tables[0].space.count, 10.0)}
 
     gp, history, reward_cfg = tr.train_generator(train, eval_params, cfg.training,
@@ -231,10 +232,8 @@ _EVAL_STAGE_KEYS = {
 
 
 def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
-    try:
-        payload = json.loads(_require(spec_path, "sweep spec").read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sweep spec {spec_path}: invalid JSON ({exc.msg})") from exc
+    payload = parse_json(_require(spec_path, "sweep spec").read_text(encoding="utf-8"),
+                         f"sweep spec {spec_path}")
     if not isinstance(payload, dict):
         raise ConfigError("sweep spec: expected an object")
     for key in ("version", "param", "values", "base"):
@@ -329,25 +328,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            out_dir = Path(args.out) if args.out else Path("runs/sweep")
+        # numpy reports overflow as warnings; the error line below says it once
+        with np.errstate(all="ignore"):
+            if args.command == "sweep":
+                out_dir = Path(args.out) if args.out else Path("runs/sweep")
+                out_dir.mkdir(parents=True, exist_ok=True)
+                cmd_sweep(Path(args.config), out_dir)
+                return 0
+            cfg = _apply_overrides(load_config(args.config), args)
+            out_dir = Path(args.out) if args.out else Path(cfg.paths.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            cmd_sweep(Path(args.config), out_dir)
+            if args.command == "gen-data":
+                cmd_gen_data(cfg, out_dir)
+            elif args.command == "train-eval":
+                cmd_train_eval(cfg, out_dir)
+            elif args.command == "train-gen":
+                cmd_train_gen(cfg, out_dir)
+            elif args.command == "rerank":
+                cmd_rerank(cfg, out_dir)
+            elif args.command == "bench":
+                cmd_bench(cfg, out_dir)
             return 0
-        cfg = _apply_overrides(load_config(args.config), args)
-        out_dir = Path(args.out) if args.out else Path(cfg.paths.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "gen-data":
-            cmd_gen_data(cfg, out_dir)
-        elif args.command == "train-eval":
-            cmd_train_eval(cfg, out_dir)
-        elif args.command == "train-gen":
-            cmd_train_gen(cfg, out_dir)
-        elif args.command == "rerank":
-            cmd_rerank(cfg, out_dir)
-        elif args.command == "bench":
-            cmd_bench(cfg, out_dir)
-        return 0
     except (MissingArtifact, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -358,6 +359,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

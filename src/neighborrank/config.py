@@ -139,15 +139,21 @@ def config_from_dict(payload: dict) -> Config:
     return Config(version=CONFIG_VERSION, **sections)
 
 
+def parse_json(text: str, what) -> object:
+    """JSON with NaN and Infinity rejected, since they pass every range check."""
+    def reject(name):
+        raise ConfigError(f"{what}: non-finite number {name} is not allowed")
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what}: invalid JSON ({exc.msg})") from exc
+
+
 def load_config(path) -> Config:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
-    return config_from_dict(payload)
+    return config_from_dict(parse_json(path.read_text(encoding="utf-8"), path))
 
 
 def config_hash(cfg: Config) -> str:

@@ -109,11 +109,6 @@ class GroundTruthModel:
         logits = qual + aff + self.position_bias[:m] - self.cannibalization * dup
         return 0.5 * (1.0 + np.tanh(0.5 * logits))
 
-    def click_prob(self, item_ids, position: int, user_id: int) -> float:
-        if not (0 <= position < len(item_ids)):
-            raise ValueError(f"position {position} outside list of length {len(item_ids)}")
-        return float(self.list_click_probs(item_ids, user_id)[position])
-
     def conversion_prob(self, item_id: int, user_id: int) -> float:
         cat = int(self.catalog.category[item_id])
         z = self.conversion_intercept + self.conversion_scale * (

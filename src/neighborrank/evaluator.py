@@ -11,13 +11,13 @@ the input, so predictions react to both list order and list composition.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import metrics
 from .autodiff import Tensor, no_grad
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .config import TrainingSection
@@ -25,8 +25,6 @@ from .datagen import InteractionRecord
 from .optim import Adam, raise_if_unchanged
 from .params import Layout, ParamSet
 from .rng import RngStream
-
-logger = logging.getLogger(__name__)
 
 FIELD_NAMES = ("item", "cat", "brand")
 
@@ -80,14 +78,6 @@ class ModelDims:
         return cls(item_vocab=vals[0], cat_vocab=vals[1], brand_vocab=vals[2],
                    list_size=vals[3], num_candidates=vals[4], history_sessions=vals[5],
                    embed_dim=vals[6], num_fields=vals[7], mlp_hidden=tuple(vals[8:]))
-
-
-@dataclass
-class ListScores:
-    """Per-position probabilities for one list."""
-
-    pctr: np.ndarray
-    pcvr: np.ndarray
 
 
 def _layout(dims: ModelDims) -> Layout:
@@ -301,30 +291,12 @@ def loss_graph(pctr: Tensor, pcvr: Tensor, clicks: np.ndarray, convs: np.ndarray
     return ad.reduce_mean(total, axis=0)
 
 
-def evaluator_loss(scores: ListScores, clicks, convs=None) -> float:
-    """Loss of one scored list against its labels (conversions optional)."""
-    clicks = np.asarray(clicks, dtype=np.float64)
-    convs = np.zeros_like(clicks) if convs is None else np.asarray(convs, dtype=np.float64)
-    out_of_range = int(((scores.pctr <= 0) | (scores.pctr >= 1)).sum()
-                       + ((scores.pcvr <= 0) | (scores.pcvr >= 1)).sum())
-    if out_of_range:
-        logger.warning("clamping %d probabilities at the (0,1) boundary", out_of_range)
-    with no_grad():
-        loss = loss_graph(ad.constant(scores.pctr[None, :]), ad.constant(scores.pcvr[None, :]),
-                          clicks[None, :], convs[None, :])
-    return loss.item()
-
-
 def _metric_row(pctr: np.ndarray, records: list[InteractionRecord]) -> dict:
-    from . import metrics
-
     clicks = np.stack([r.clicks for r in records])
     auc = metrics.auc(pctr.ravel(), clicks.ravel())
     logloss = metrics.log_loss(pctr.ravel(), clicks.ravel())
-    ndcg5 = metrics.mean_ignoring_undefined(
-        metrics.ndcg_at_k(pctr[i], clicks[i], 5) for i in range(len(records)))
-    ndcg10 = metrics.mean_ignoring_undefined(
-        metrics.ndcg_at_k(pctr[i], clicks[i], 10) for i in range(len(records)))
+    ndcg5 = metrics.mean_ignoring_undefined(metrics.ndcg_rows(pctr, clicks, 5))
+    ndcg10 = metrics.mean_ignoring_undefined(metrics.ndcg_rows(pctr, clicks, 10))
     return {"auc": auc, "logloss": logloss, "ndcg5": ndcg5, "ndcg10": ndcg10}
 
 

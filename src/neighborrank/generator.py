@@ -20,6 +20,7 @@ remain.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from .checkpoint import save_arrays
 from .evaluator import (
     EvaluatorParams,
     ModelDims,
+    _tile_vector,
     embed_lists,
     encode_sessions,
     flatten_items,
@@ -108,36 +110,24 @@ class GeneratorParams:
 
 
 def gumbel_sample(logits: Tensor, cfg: GumbelConfig,
-                  rng: RngStream | None = None,
                   noise: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Gumbel-softmax over the last axis.
 
     Returns the soft distribution (gradients flow through it) and the hard
     argmax indices used by the forward pass; ties go to the lowest index.
-    With noise disabled the soft distribution is the plain tempered softmax.
+    With noise disabled the soft distribution is the plain tempered softmax;
+    with noise enabled the caller passes the Gumbel noise array.
     """
     if not np.isfinite(logits.value).all():
         raise FloatingPointError("gumbel_sample: non-finite logits")
     z = logits
     if cfg.noise:
         if noise is None:
-            if rng is None:
-                raise ValueError("noise enabled but no rng or noise array given")
-            noise = rng.gumbel(logits.shape)
+            raise ValueError("noise enabled but no noise array given")
         z = ad.add(z, ad.constant(noise))
     soft = ad.softmax_rows(ad.scale(z, 1.0 / cfg.tau))
     hard = np.argmax(soft.value, axis=-1)
     return soft, hard
-
-
-def _tile(vec: Tensor, count: int) -> Tensor:
-    b, d = vec.shape
-    return ad.broadcast_to(ad.expand_dims(vec, 1), (b, count, d))
-
-
-def _position_embedding(gp: GeneratorParams, batch: int) -> Tensor:
-    m, d = gp.dims.list_size, gp.dims.embed_dim
-    return ad.broadcast_to(ad.expand_dims(gp.ps["pos"], 0), (batch, m, d))
 
 
 def position_logits(list_flat: Tensor, e_list: Tensor, e_user: Tensor,
@@ -147,8 +137,8 @@ def position_logits(list_flat: Tensor, e_list: Tensor, e_user: Tensor,
     list_flat is (B, m, F*D) flattened item embeddings of the current list.
     """
     b, m = list_flat.shape[0], list_flat.shape[1]
-    z = ad.concat([list_flat, _tile(e_list, m), _tile(e_user, m),
-                   _position_embedding(gp, b)], axis=-1)
+    pe = ad.broadcast_to(ad.expand_dims(gp.ps["pos"], 0), (b, m, gp.dims.embed_dim))
+    z = ad.concat([list_flat, _tile_vector(e_list, m), _tile_vector(e_user, m), pe], axis=-1)
     return ad.reshape(ad.affine(z, gp.ps["pdu.w"], gp.ps["pdu.b"]), (b, m))
 
 
@@ -183,7 +173,7 @@ def candidate_logits(cand_flat: Tensor, e_mask: Tensor, e_user: Tensor,
     pe = ad.broadcast_to(ad.expand_dims(pe_row, 0), (b, n, d))
     cand_repr = ad.relu(ad.affine(ad.concat([cand_flat, pe], axis=-1),
                                   gp.ps["cand.w"], gp.ps["cand.b"]))
-    z = ad.concat([cand_repr, _tile(e_mask, n), _tile(e_user, n), pe], axis=-1)
+    z = ad.concat([cand_repr, _tile_vector(e_mask, n), _tile_vector(e_user, n), pe], axis=-1)
     logits = ad.reshape(ad.affine(z, gp.ps["cru.w"], gp.ps["cru.b"]), (b, n))
     if blocked is not None and blocked.any():
         logits = ad.add(logits, ad.constant(np.where(blocked, _MASKED, 0.0)))
@@ -208,14 +198,17 @@ def blocked_candidates(list_idx: np.ndarray, position, num_candidates: int) -> n
     return blocked
 
 
-def apply_move(list_idx: tuple[int, ...], position: int, candidate: int) -> tuple[int, ...]:
-    """One edit: substitute an unused candidate, or exchange with its slot."""
-    out = list(list_idx)
-    if candidate in out:
-        other = out.index(candidate)
-        out[other] = out[position]
-    out[position] = candidate
-    return tuple(out)
+def apply_move(list_idx, position, candidate):
+    """One edit per list: substitute an unused candidate, or exchange with its slot.
+
+    list_idx is one list (a tuple in, a tuple out) or an array (..., m) of
+    lists, with position and candidate shaped like its leading axes.
+    """
+    lists = np.asarray(list_idx)
+    pos, cand = np.asarray(position)[..., None], np.asarray(candidate)[..., None]
+    out = np.where(lists == cand, np.take_along_axis(lists, pos, axis=-1), lists)
+    np.put_along_axis(out, pos, cand, axis=-1)
+    return tuple(int(i) for i in out) if out.ndim == 1 else out
 
 
 @dataclass
@@ -229,15 +222,8 @@ class TraceStep:
     stop: str | None
 
     def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "position": self.position,
-            "candidate": self.candidate,
-            "max_rp": self.max_position_prob,
-            "max_rc": self.max_candidate_prob,
-            "applied": self.applied,
-            "stop": self.stop,
-        }
+        keys = ("step", "position", "candidate", "max_rp", "max_rc", "applied", "stop")
+        return dict(zip(keys, dataclasses.astuple(self)))
 
 
 @dataclass
@@ -252,57 +238,66 @@ class GenerationTrace:
         return [s.to_json() for s in self.steps]
 
 
+def generate_batch(initial: np.ndarray, cand_ids: np.ndarray, e_user: np.ndarray,
+                   gp: GeneratorParams, cfg: GumbelConfig
+                   ) -> tuple[list[tuple[int, ...]], list[GenerationTrace]]:
+    """Edit B lists, (B, m) candidate indices into (B, n, F) pools, until a
+    stop rule fires for each: low confidence, then the same item, then max
+    steps. Rows still walking step together; rows that chose the same slot
+    share one candidate-head pass. Returns each row's final list and trace,
+    which do not depend on the other rows."""
+    cfg = cfg.resolved(gp.dims)
+    cur = np.array(initial, dtype=np.int64)
+    ordered = np.sort(cur, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError(f"initial list has duplicates: {cur.tolist()}")
+    traces = [GenerationTrace() for _ in cur]
+    active = np.arange(len(cur))
+    with no_grad():
+        cand_flat = flatten_items(cand_ids, gp.shared).value
+        for step in range(cfg.max_steps):
+            x = embed_lists(cand_ids[active[:, None], cur[active]], gp.shared)
+            _, e_list = list_attention(x, gp.shared)
+            flat = ad.reshape(x, (len(active), gp.dims.list_size, gp.dims.flat_dim))
+            soft_p, slots = gumbel_sample(
+                position_logits(flat, e_list, ad.constant(e_user[active]), gp), cfg)
+            p_max = soft_p.value.max(axis=1)
+            picked = p_max >= cfg.theta_p
+            ks = np.zeros(len(active), dtype=np.int64)
+            c_max = np.full(len(active), np.nan)      # stays NaN where no slot was picked
+            for j in sorted(set(slots[picked].tolist())):
+                sel = np.flatnonzero(picked & (slots == j))
+                rows = active[sel]
+                e_mask = masked_list_encoding(ad.constant(flat.value[sel]), j, gp)
+                g = candidate_logits(ad.constant(cand_flat[rows]), e_mask, ad.constant(e_user[rows]),
+                                     j, gp, blocked_candidates(cur[rows], j, cand_ids.shape[1]))
+                soft_c, hard_c = gumbel_sample(g, cfg)
+                ks[sel], c_max[sel] = hard_c, soft_c.value.max(axis=1)
+            sure = c_max >= cfg.theta_c
+            moved = sure & (ks != cur[active, slots])
+            for r, j, k, rp, rc, p_ok, c_ok, mv in zip(
+                    active.tolist(), slots.tolist(), ks.tolist(), p_max.tolist(), c_max.tolist(),
+                    picked.tolist(), sure.tolist(), moved.tolist()):
+                stop = ("max-steps" if step == cfg.max_steps - 1 else None) if mv else (
+                    "same-item" if c_ok else "low-confidence")
+                traces[r].steps.append(TraceStep(step, j, k if p_ok else None, rp,
+                                                 rc if p_ok else None, mv, stop))
+            active = active[moved]
+            if not active.size:
+                break
+            cur[active] = apply_move(cur[active], slots[moved], ks[moved])
+    return [tuple(row) for row in cur.tolist()], traces
+
+
 def generate(initial_idx, candidate_ids: np.ndarray, session_ids: np.ndarray,
              gp: GeneratorParams, cfg: GumbelConfig,
-             rng: RngStream | None = None,
              e_user: np.ndarray | None = None) -> tuple[tuple[int, ...], GenerationTrace]:
-    """Iteratively edit a list until a stop rule fires.
-
-    initial_idx: candidate indices of the starting list (length m, no
-    duplicates). candidate_ids: (n, F) feature ids of the pool. Returns the
-    final index list and the per-step trace. With noise disabled this is a
-    pure function of its inputs.
-    """
-    dims = gp.dims
-    cfg = cfg.resolved(dims)
-    cur = tuple(int(i) for i in initial_idx)
-    if len(set(cur)) != len(cur):
-        raise ValueError(f"initial list has duplicates: {cur}")
-    n = candidate_ids.shape[0]
-    trace = GenerationTrace()
-    with no_grad():
-        if e_user is None:
+    """Walk one list, (m,) candidate indices into the (n, F) pool: a batch of
+    one of generate_batch. The user vector comes from session_ids unless
+    e_user is given."""
+    if e_user is None:
+        with no_grad():
             e_user = encode_sessions(session_ids[None, ...], gp.shared).value
-        e_user_t = ad.constant(e_user.reshape(1, dims.embed_dim))
-        cand_flat = flatten_items(candidate_ids[None, ...], gp.shared)
-
-        for step in range(cfg.max_steps):
-            ids = candidate_ids[list(cur)][None, ...]
-            x = embed_lists(ids, gp.shared)
-            _, e_list = list_attention(x, gp.shared)
-            flat = ad.reshape(x, (1, dims.list_size, dims.flat_dim))
-            h = position_logits(flat, e_list, e_user_t, gp)
-            soft_p, hard_p = gumbel_sample(h, cfg, rng=rng)
-            j = int(hard_p[0])
-            p_max = float(soft_p.value[0].max())
-            if p_max < cfg.theta_p:
-                trace.steps.append(TraceStep(step, j, None, p_max, None, False, "low-confidence"))
-                break
-
-            e_mask = masked_list_encoding(flat, j, gp)
-            blocked = blocked_candidates(np.array([cur]), j, n)
-            g = candidate_logits(cand_flat, e_mask, e_user_t, j, gp, blocked)
-            soft_c, hard_c = gumbel_sample(g, cfg, rng=rng)
-            k = int(hard_c[0])
-            c_max = float(soft_c.value[0].max())
-            if c_max < cfg.theta_c:
-                trace.steps.append(TraceStep(step, j, k, p_max, c_max, False, "low-confidence"))
-                break
-            if k == cur[j]:
-                trace.steps.append(TraceStep(step, j, k, p_max, c_max, False, "same-item"))
-                break
-
-            cur = apply_move(cur, j, k)
-            stop = "max-steps" if step == cfg.max_steps - 1 else None
-            trace.steps.append(TraceStep(step, j, k, p_max, c_max, True, stop))
-    return cur, trace
+    finals, traces = generate_batch(np.array([initial_idx]), candidate_ids[None, ...],
+                                    np.reshape(e_user, (1, -1)), gp, cfg)
+    return finals[0], traces[0]

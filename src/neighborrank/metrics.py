@@ -72,18 +72,12 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         return float("nan")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    rank_pos = 1.0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        avg = 0.5 * (rank_pos + rank_pos + (j - i))
-        ranks[order[i : j + 1]] = avg
-        rank_pos += j - i + 1
-        i = j + 1
+    # every run of tied scores [start, end) shares its mean 1-based rank
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
     rank_sum_pos = ranks[pos].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -94,26 +88,30 @@ def log_loss(probs, labels, eps: float = 1e-12) -> float:
     return float(-(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)).mean())
 
 
-def ndcg_at_k(scores, relevance, k: int) -> float:
-    """NDCG with gain = relevance and 1/log2(pos+1) discount.
+def ndcg_rows(scores, relevance, k: int) -> np.ndarray:
+    """NDCG@k of every row of (N, m) scores against (N, m) relevance.
 
-    Positions come from sorting by predicted score (descending, stable).
-    Returns NaN when the list carries no relevance, flagging it for exclusion
-    from averages.
+    Gain = relevance, discount 1/log2(pos+1); positions come from sorting
+    each row by predicted score (descending, stable). A row that carries no
+    relevance is NaN, flagging it for exclusion from averages.
     """
     if k < 1:
         raise MetricError(f"k must be >= 1, got {k}")
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    relevance = np.asarray(relevance, dtype=np.float64).ravel()
-    if scores.size == 0:
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    relevance = np.atleast_2d(np.asarray(relevance, dtype=np.float64))
+    if scores.shape[-1] == 0:
         raise MetricError("empty list")
-    if relevance.sum() <= 0:
-        return float("nan")
-    order = np.argsort(-scores, kind="mergesort")
-    discounts = 1.0 / np.log2(np.arange(2, scores.size + 2, dtype=np.float64))
-    dcg = float((relevance[order][:k] * discounts[:k]).sum())
-    ideal = float((np.sort(relevance)[::-1][:k] * discounts[:k]).sum())
-    return dcg / ideal
+    order = np.argsort(-scores, axis=1, kind="mergesort")
+    discounts = 1.0 / np.log2(np.arange(2, scores.shape[1] + 2, dtype=np.float64))[:k]
+    dcg = (np.take_along_axis(relevance, order, axis=1)[:, :k] * discounts).sum(axis=1)
+    ideal = (np.sort(relevance, axis=1)[:, ::-1][:, :k] * discounts).sum(axis=1)
+    defined = relevance.sum(axis=1) > 0
+    return np.divide(dcg, ideal, out=np.full(len(dcg), np.nan), where=defined)
+
+
+def ndcg_at_k(scores, relevance, k: int) -> float:
+    """NDCG@k of one list (see ndcg_rows); NaN when it carries no relevance."""
+    return float(ndcg_rows(np.ravel(scores), np.ravel(relevance), k)[0])
 
 
 def mean_ignoring_undefined(values: Iterable[float]) -> float:
@@ -142,10 +140,7 @@ def hit_cutoff(count: int, pct: float) -> int:
 def hit_ratio(ranks: Sequence[int], counts: Sequence[int] | int, pct: float) -> float:
     """Fraction of records whose rank lands within the top pct% cutoff."""
     ranks = np.asarray(ranks, dtype=np.int64)
-    if isinstance(counts, (int, np.integer)):
-        counts = np.full(ranks.shape, int(counts), dtype=np.int64)
-    else:
-        counts = np.asarray(counts, dtype=np.int64)
+    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), ranks.shape)
     hits = [int(r <= hit_cutoff(int(c), pct)) for r, c in zip(ranks, counts)]
     return float(np.mean(hits)) if len(hits) else float("nan")
 

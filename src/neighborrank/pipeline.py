@@ -14,7 +14,7 @@ import numpy as np
 
 from .datagen import InteractionRecord
 from .evaluator import EvaluatorParams, scores_for_lists, user_vectors
-from .generator import GeneratorParams, GenerationTrace, GumbelConfig, generate
+from .generator import GeneratorParams, GenerationTrace, GumbelConfig, generate_batch
 from .metrics import MetricError, PermutationSpace, greedy_order, hit_ratio, rank_in_scores
 from .rng import RngStream
 from .trainer import RewardConfig, list_reward
@@ -112,17 +112,14 @@ def build_oracle_tables(records: list[InteractionRecord], eval_params: Evaluator
 def rerank_records(records: list[InteractionRecord], gp: GeneratorParams,
                    cfg: GumbelConfig, e_user_cache: np.ndarray | None = None
                    ) -> tuple[list[tuple[int, ...]], list[GenerationTrace]]:
-    """Run the generator walk on every record (noise off: deterministic)."""
-    inference_cfg = dataclasses.replace(cfg, noise=False)
+    """Run the generator walk on every record at once (noise off: deterministic)."""
+    if not records:
+        return [], []
     if e_user_cache is None:
         e_user_cache = user_vectors(records, gp.shared)
-    finals, traces = [], []
-    for rec, e_user in zip(records, e_user_cache):
-        final, trace = generate(tuple(int(x) for x in rec.exposed), rec.candidate_ids,
-                                rec.session_ids, gp, inference_cfg, e_user=e_user)
-        finals.append(final)
-        traces.append(trace)
-    return finals, traces
+    return generate_batch(np.stack([r.exposed for r in records]),
+                          np.stack([r.candidate_ids for r in records]), e_user_cache,
+                          gp, dataclasses.replace(cfg, noise=False))
 
 
 def baseline_lists(records: list[InteractionRecord], eval_params: EvaluatorParams,

@@ -42,6 +42,17 @@ def _mix_pair(a: int, b: int) -> int:
     return _finalize_int((a + ((b * _GOLDEN_INT) & _MASK)) & _MASK)
 
 
+def _mix_rows(a: np.ndarray, b) -> np.ndarray:
+    # _mix_pair on a uint64 array, with one int tag or an array of tags
+    b = b.astype(np.uint64) * _GOLDEN if isinstance(b, np.ndarray) else _U64((b * _GOLDEN_INT) & _MASK)
+    return _finalize(a + b)
+
+
+def _unit(raw: np.ndarray) -> np.ndarray:
+    """Raw 64-bit draws to uniforms on the open interval (0, 1)."""
+    return ((raw >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+
+
 def _size(shape) -> int:
     """Element count of an int or tuple shape."""
     return int(shape) if isinstance(shape, (int, np.integer)) else int(math.prod(shape))
@@ -74,6 +85,11 @@ class RngStream:
             child = _mix_pair(child, _token_to_int(tag))
         return RngStream(child, 0)
 
+    def split_rows(self, *tags, rows) -> "StreamRows":
+        """Child streams self.split(*tags, r) for every int r in `rows`: the
+        shared prefix once, then one array mix over the row tags."""
+        return StreamRows(_mix_rows(_U64(self.split(*tags).seed), np.asarray(rows)))
+
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
@@ -82,7 +98,7 @@ class RngStream:
     def uniform(self, shape=None) -> np.ndarray | float:
         """Uniform draws on the open interval (0, 1)."""
         n = 1 if shape is None else _size(shape)
-        u = ((self._raw(n) >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+        u = _unit(self._raw(n))
         if shape is None:
             return float(u[0])
         return u.reshape(shape)
@@ -125,3 +141,32 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed:#018x}, counter={self.counter})"
+
+
+class StreamRows:
+    """Streams drawn in lockstep: row i is RngStream(seeds[i], counter), and a
+    draw of shape S is (rows, *S) with row i equal to that stream's draw."""
+
+    def __init__(self, seeds, counter: int = 0):
+        self.seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+        self.counter = int(counter)
+
+    def split(self, *tags) -> "StreamRows":
+        child = _mix_rows(self.seeds, 0x5851F42D4C957F2D)
+        for tag in tags:
+            child = _mix_rows(child, _token_to_int(tag))
+        return StreamRows(child)
+
+    def _raw(self, n: int) -> np.ndarray:
+        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        self.counter += n
+        return _finalize(self.seeds + idx * _GOLDEN)
+
+    def uniform(self, shape: tuple) -> np.ndarray:
+        return _unit(self._raw(math.prod(shape))).reshape(len(self.seeds), *shape)
+
+    def gumbel(self, shape: tuple) -> np.ndarray:
+        return -np.log(-np.log(self.uniform(shape)))
+
+    def permutation(self, n: int) -> np.ndarray:
+        return np.argsort(self._raw(n), axis=1, kind="stable")

@@ -12,7 +12,7 @@ reaches the evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .generator import (
     position_logits,
 )
 from .optim import Adam, raise_if_unchanged
-from .rng import RngStream
+from .rng import RngStream, StreamRows
 
 
 @dataclass
@@ -104,55 +104,58 @@ class NeighborReward:
 @dataclass
 class NeighborSet:
     origin: tuple[int, ...]
-    samples: list[NeighborReward] = field(default_factory=list)
+    samples: list[NeighborReward]
 
 
-def replacement_pool(list_idx, position: int, num_candidates: int) -> np.ndarray:
-    """Candidates eligible to replace one slot.
-
-    Prefers candidates outside the list (edit distance 1). Only when the pool
-    is exhausted by the list itself does it fall back to the other slots'
-    items, which turns the edit into an exchange.
-    """
-    in_list = set(int(i) for i in list_idx)
-    outside = [c for c in range(num_candidates) if c not in in_list]
-    if outside:
-        return np.asarray(outside, dtype=np.int64)
-    pool = [c for c in range(num_candidates) if c != int(list_idx[position])]
-    if not pool:
+def neighbor_edits(origins: np.ndarray, num_candidates: int, beta: float,
+                   streams: StreamRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Single-edit neighbors of (B, m) lists, one stream row per list: every
+    slot beta times, or a beta fraction of the slots once. Replacements come
+    from outside the list, or, when it holds the whole pool, from the other
+    slots (an exchange). Returns the slots (B, P), the candidates (B, P, R)
+    and the neighbor lists (B, P, R, m), in (slot, repeat) order."""
+    origins = np.asarray(origins, dtype=np.int64)
+    b, m = origins.shape
+    ordered = np.sort(origins, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError(f"origin list has duplicates: {origins.tolist()}")
+    size = num_candidates - m if num_candidates > m else num_candidates - 1
+    if size < 1:
         raise ValueError("candidate pool too small: no replacement available")
-    return np.asarray(pool, dtype=np.int64)
-
-
-def sampled_positions(m: int, beta: float, rng: RngStream) -> list[int]:
-    """A beta fraction of the m slots, or every slot for an integer beta."""
+    reps = 1 if beta < 1 else int(beta)
     if beta < 1:
         count = max(1, int(round(beta * m)))
-        return sorted(int(i) for i in rng.choice(m, count))
-    return list(range(m))
+        positions = np.sort(streams.permutation(m)[:, :count], axis=1)
+    else:
+        positions = np.broadcast_to(np.arange(m), (b, m))
+    # one draw per edit, mapped to a pool index with the arithmetic of
+    # RngStream.integers(0, size)
+    picks = np.floor(streams.uniform((positions.shape[1], reps)) * size).astype(np.int64)
+    picks = np.minimum(picks, size - 1)
+    rows = np.arange(b)[:, None]
+    replaced = origins[rows, positions][..., None]                        # (B, P, 1)
+    if num_candidates > m:
+        in_list = np.zeros((b, num_candidates), dtype=bool)
+        in_list[rows, origins] = True
+        outside = np.argsort(in_list, axis=1, kind="stable")[:, :size]    # ascending
+        cands = outside[rows[..., None], picks]
+    else:
+        cands = picks + (picks >= replaced)       # every candidate but the slot's own
+    lists = apply_move(np.broadcast_to(origins[:, None, None, :], (*cands.shape, m)),
+                       np.broadcast_to(positions[..., None], cands.shape), cands)
+    return positions, cands, lists
 
 
 def build_neighbors(list_idx, num_candidates: int, beta: float, rng: RngStream) -> NeighborSet:
-    """Sample single-edit neighbors: beta per slot, or a beta fraction of slots."""
+    """Sample single-edit neighbors of one list: neighbor_edits of a batch of one."""
     origin = tuple(int(i) for i in list_idx)
-    m = len(origin)
-    if len(set(origin)) != m:
-        raise ValueError(f"origin list has duplicates: {origin}")
-    reps = 1 if beta < 1 else int(beta)
-    positions = sampled_positions(m, beta, rng)
-    pools = [replacement_pool(origin, j, num_candidates) for j in positions]
-    sizes = np.array([len(pool) for pool in pools])[:, None]
-    # one draw per edit in (position, repeat) order, mapped to a pool index
-    # with the arithmetic of rng.integers(0, len(pool))
-    picks = np.floor(rng.uniform((len(positions), reps)) * sizes).astype(np.int64)
-    picks = np.minimum(picks, sizes - 1)
-    out = NeighborSet(origin=origin)
-    for j, pool, row in zip(positions, pools, picks.tolist()):
-        for p in row:
-            k = int(pool[p])
-            out.samples.append(NeighborReward(position=j, candidate=k,
-                                              neighbor=apply_move(origin, j, k)))
-    return out
+    streams = StreamRows([rng.seed], rng.counter)
+    positions, cands, lists = neighbor_edits(np.array([origin]), num_candidates, beta, streams)
+    rng.counter = streams.counter
+    return NeighborSet(origin, [
+        NeighborReward(j, k, tuple(nb)) for j, row_k, row_lists in
+        zip(positions[0].tolist(), cands[0].tolist(), lists[0].tolist())
+        for k, nb in zip(row_k, row_lists)])
 
 
 def counterfactual_reward_loss(position_weights: np.ndarray, soft_c: list[Tensor],
@@ -316,41 +319,26 @@ def _batch_rewards(cache: _TrainCache, baseline: np.ndarray, idx: np.ndarray,
     (the origin list's reward, or zero for raw rewards).
 
     Uses one stream per (record, epoch), so results do not depend on batch
-    composition or visit order.
+    composition or visit order. Every record's neighbors are scored in one
+    call, and duplicate edits accumulate in (record, slot, repeat) order.
     """
-    dims = eval_params.dims
-    b = len(idx)
-    m, n = dims.list_size, dims.num_candidates
+    b, m, n = len(idx), eval_params.dims.list_size, eval_params.dims.num_candidates
+    streams = RngStream(training.seed).split_rows("sampling", epoch, rows=idx)
+    pdu_noise = streams.gumbel((m,))
+    cru_noise = streams.gumbel((m, n))
+    positions, cands, lists = neighbor_edits(cache.exposed_idx[idx], n, training.beta,
+                                             streams.split("neighbors"))
+    rows = np.repeat(np.arange(b), cands[0].size)
+    slots = np.repeat(positions, cands.shape[2], axis=1).ravel()
+    records = idx[rows]
+    pctr, pcvr = scores_for_lists(cache.cand_ids[records[:, None], lists.reshape(-1, m)],
+                                  cache.e_user[records], eval_params)
+    rel = list_reward(pctr, pcvr, reward_cfg) - baseline[records]
     rewards = np.zeros((b, m, n))
-    pos_sum = np.zeros((b, m))
-    pos_cnt = np.zeros((b, m))
-    pdu_noise = np.zeros((b, m))
-    cru_noise = np.zeros((b, m, n))
-
-    all_lists = []
-    sample_refs = []   # (row, position, candidate)
-    for row, rec_i in enumerate(idx):
-        rstream = RngStream(training.seed).split("sampling", epoch, int(rec_i))
-        pdu_noise[row] = rstream.gumbel((m,))
-        cru_noise[row] = rstream.gumbel((m, n))
-        nset = build_neighbors(cache.exposed_idx[rec_i], n, training.beta,
-                               rstream.split("neighbors"))
-        for s in nset.samples:
-            all_lists.append(cache.cand_ids[rec_i][list(s.neighbor)])
-            sample_refs.append((row, s.position, s.candidate))
-
-    if all_lists:
-        stacked = np.stack(all_lists)
-        # user vector per sample follows its record
-        rows = np.array([r for r, _, _ in sample_refs])
-        e_user_rep = cache.e_user[idx][rows]
-        pctr, pcvr = scores_for_lists(stacked, e_user_rep, eval_params)
-        shaped = list_reward(pctr, pcvr, reward_cfg)
-        for (row, j, k), value in zip(sample_refs, shaped):
-            rel = value - baseline[idx[row]]
-            rewards[row, j, k] += rel
-            pos_sum[row, j] += rel
-            pos_cnt[row, j] += 1
+    np.add.at(rewards, (rows, slots, cands.ravel()), rel)
+    pos_sum, pos_cnt = np.zeros((2, b, m))
+    np.add.at(pos_sum, (rows, slots), rel)
+    np.add.at(pos_cnt, (rows, slots), 1.0)
     pos_rewards = np.divide(pos_sum, pos_cnt, out=np.zeros_like(pos_sum), where=pos_cnt > 0)
     return rewards, pos_rewards, pdu_noise, cru_noise
 

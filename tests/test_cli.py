@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -192,6 +195,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and "non-finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_overflow_prints_one_stderr_line(self, pipeline_run, tmp_path):
+        # in a fresh interpreter numpy's overflow warnings would reach stderr
+        _, src = pipeline_run
+        cfg_path, out = write_config(tmp_path, "overflow", training={"lr": 1e300})
+        copy_run(src, out)
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "neighborrank", "train-gen",
+                               "--config", str(cfg_path)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "non-finite" in proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -284,6 +302,8 @@ class TestSweep:
         pytest.param({"param": "training.alpha", "values": [0.1, -1]}, id="invalid-value"),
         pytest.param("{not json", id="invalid-json"),
         pytest.param([1, 2], id="not-an-object"),
+        pytest.param({"param": "training.alpha", "values": [0.1, float("nan")]}, id="nan-value"),
+        pytest.param({"param": "training.lr", "values": [float("inf")]}, id="infinite-value"),
     ])
     def test_malformed_sweep_spec_is_3(self, tmp_path, spec):
         base = json.loads(json.dumps(TINY))

@@ -112,6 +112,15 @@ def test_invalid_json_reported(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_rejected(tmp_path, constant):
+    # NaN compares false with every bound, so it would pass the range checks
+    path = tmp_path / "nan.json"
+    path.write_text('{"version": 1, "training": {"alpha": %s}}' % constant)
+    with pytest.raises(ConfigError, match=f"non-finite number {constant}"):
+        load_config(path)
+
+
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         load_config("/nonexistent/config.json")

@@ -54,13 +54,18 @@ def test_catalog_rejects_bad_sizes():
         gen_catalog(1, 2, 5)
 
 
+def click_prob(model, item_ids, position, user_id):
+    """Click probability of one slot, read from the whole-list simulator."""
+    return float(model.list_click_probs(item_ids, user_id)[position])
+
+
 def test_click_prob_all_terms_zero():
     cat = Catalog(category=np.array([0]), brand=np.array([0]), quality=np.array([0.0]),
                   num_categories=1, num_brands=1)
     model = datagen.GroundTruthModel(
         catalog=cat, position_bias=np.array([0.0, -0.5]), affinity_sigma=0.0,
         cannibalization=0.0, conversion_scale=1.0, conversion_intercept=0.0, seed=0)
-    assert model.click_prob([0, 0], 0, user_id=3) == pytest.approx(0.5)
+    assert click_prob(model, [0, 0], 0, user_id=3) == pytest.approx(0.5)
 
 
 def test_click_prob_cannibalization_sign():
@@ -69,8 +74,8 @@ def test_click_prob_cannibalization_sign():
     model = datagen.GroundTruthModel(
         catalog=cat, position_bias=np.array([0.2, 0.0]), affinity_sigma=0.0,
         cannibalization=1.5, conversion_scale=1.0, conversion_intercept=0.0, seed=0)
-    same_cat = model.click_prob([0, 1], 1, user_id=0)   # second item shares category
-    diff_cat = model.click_prob([0, 2], 1, user_id=0)
+    same_cat = click_prob(model, [0, 1], 1, user_id=0)   # second item shares category
+    diff_cat = click_prob(model, [0, 2], 1, user_id=0)
     assert same_cat < diff_cat
 
 
@@ -84,7 +89,7 @@ def test_click_prob_matches_hand_formula():
     aff = model.affinity(user)[1]
     z = -0.2 + aff + 0.1 - 0.9 * 1  # quality + affinity + bias - penalty*dup
     expected = 1.0 / (1.0 + math.exp(-z))
-    assert model.click_prob([0, 1], 1, user) == pytest.approx(expected, abs=1e-12)
+    assert click_prob(model, [0, 1], 1, user) == pytest.approx(expected, abs=1e-12)
 
 
 def test_position_bias_must_decrease():

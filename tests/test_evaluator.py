@@ -190,16 +190,25 @@ class TestPredict:
                                 np.zeros((1, 2)), params)
 
 
+def evaluator_loss(pctr, pcvr, clicks, convs):
+    """Loss of one scored list against its labels, through loss_graph."""
+    with ad.no_grad():
+        loss = ev.loss_graph(ad.constant(np.asarray(pctr)[None, :]),
+                             ad.constant(np.asarray(pcvr)[None, :]),
+                             np.asarray(clicks, dtype=np.float64)[None, :],
+                             np.asarray(convs, dtype=np.float64)[None, :])
+    return loss.item()
+
+
 class TestLoss:
     def test_half_prediction_single_position(self):
-        scores = ev.ListScores(pctr=np.array([0.5]), pcvr=np.array([0.5]))
-        loss = ev.evaluator_loss(scores, clicks=[1], convs=[0])
+        loss = evaluator_loss(np.array([0.5]), np.array([0.5]), clicks=[1], convs=[0])
         # click head ln2 plus conversion head ln2 on the clicked slot
         assert loss == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_perfect_prediction_near_zero(self):
-        scores = ev.ListScores(pctr=np.array([1.0, 0.0]), pcvr=np.array([1.0, 0.0]))
-        loss = ev.evaluator_loss(scores, clicks=[1, 0], convs=[1, 0])
+        loss = evaluator_loss(np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                              clicks=[1, 0], convs=[1, 0])
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_scalar_bce_oracle(self):
@@ -215,13 +224,13 @@ class TestLoss:
             if clicks[j]:
                 yv, pv = convs[j], pcvr[j]
                 expected += -(yv * math.log(pv) + (1 - yv) * math.log(1 - pv))
-        got = ev.evaluator_loss(ev.ListScores(pctr, pcvr), clicks, convs)
+        got = evaluator_loss(pctr, pcvr, clicks, convs)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_unclicked_positions_carry_no_conversion_loss(self):
         pctr = np.array([0.7])
-        a = ev.evaluator_loss(ev.ListScores(pctr, np.array([0.2])), [0], [0])
-        b = ev.evaluator_loss(ev.ListScores(pctr, np.array([0.9])), [0], [0])
+        a = evaluator_loss(pctr, np.array([0.2]), [0], [0])
+        b = evaluator_loss(pctr, np.array([0.9]), [0], [0])
         assert a == pytest.approx(b)
 
 

@@ -266,6 +266,82 @@ class TestGenerate:
             gen.generate((0, 0, 1), self.cand, self.sess, self.gp, gen.GumbelConfig(noise=False))
 
 
+def reference_generate(initial_idx, candidate_ids, e_user, gp, cfg):
+    """Test-only copy of the one-record walk that generate_batch replaced."""
+    dims = gp.dims
+    cfg = cfg.resolved(dims)
+    cur = tuple(int(i) for i in initial_idx)
+    n = candidate_ids.shape[0]
+    trace = gen.GenerationTrace()
+    with ad.no_grad():
+        e_user_t = ad.constant(e_user.reshape(1, dims.embed_dim))
+        cand_flat = ev.flatten_items(candidate_ids[None, ...], gp.shared)
+        for step in range(cfg.max_steps):
+            x = ev.embed_lists(candidate_ids[list(cur)][None, ...], gp.shared)
+            _, e_list = ev.list_attention(x, gp.shared)
+            flat = ad.reshape(x, (1, dims.list_size, dims.flat_dim))
+            soft_p, hard_p = gen.gumbel_sample(gen.position_logits(flat, e_list, e_user_t, gp), cfg)
+            j = int(hard_p[0])
+            p_max = float(soft_p.value[0].max())
+            if p_max < cfg.theta_p:
+                trace.steps.append(gen.TraceStep(step, j, None, p_max, None, False,
+                                                 "low-confidence"))
+                break
+            e_mask = gen.masked_list_encoding(flat, j, gp)
+            blocked = gen.blocked_candidates(np.array([cur]), j, n)
+            g = gen.candidate_logits(cand_flat, e_mask, e_user_t, j, gp, blocked)
+            soft_c, hard_c = gen.gumbel_sample(g, cfg)
+            k = int(hard_c[0])
+            c_max = float(soft_c.value[0].max())
+            if c_max < cfg.theta_c:
+                trace.steps.append(gen.TraceStep(step, j, k, p_max, c_max, False,
+                                                 "low-confidence"))
+                break
+            if k == cur[j]:
+                trace.steps.append(gen.TraceStep(step, j, k, p_max, c_max, False, "same-item"))
+                break
+            cur = gen.apply_move(cur, j, k)
+            stop = "max-steps" if step == cfg.max_steps - 1 else None
+            trace.steps.append(gen.TraceStep(step, j, k, p_max, c_max, True, stop))
+    return cur, trace
+
+
+class TestGenerateBatch:
+    @pytest.mark.parametrize("n,m", [(5, 5), (12, 4), (8, 5)])
+    def test_matches_one_record_walks(self, n, m):
+        """Finals and traces equal the one-record walk bit for bit, on swap and
+        substitution pools, with every stop rule firing somewhere."""
+        dims = tiny_dims(item_vocab=30, list_size=m, num_candidates=n, embed_dim=4)
+        gp = make_generator(dims, seed=7)
+        weights = RngStream(92)   # unit-scale weights, shared trunk included
+        for name, t in [*gp.ps.items(), *gp.shared.ps.items()]:
+            t.value = weights.split(name).normal(t.value.shape)
+        records = 240
+        cand = rand_ids(43, (records, n), dims)
+        e_user = RngStream(44).normal((records, dims.embed_dim))
+        initial = np.stack([RngStream(45).split(i).choice(n, m) for i in range(records)])
+        cfg = gen.GumbelConfig(tau=1.0, noise=False, theta_p=0.45, theta_c=0.55, max_steps=3)
+        finals, traces = gen.generate_batch(initial, cand, e_user, gp, cfg)
+        for i in range(records):
+            ref_final, ref_trace = reference_generate(initial[i], cand[i], e_user[i], gp, cfg)
+            assert finals[i] == ref_final
+            assert traces[i].to_json() == ref_trace.to_json()
+            single = gen.generate(initial[i], cand[i], None, gp, cfg, e_user=e_user[i])
+            assert single[0] == ref_final and single[1].to_json() == ref_trace.to_json()
+        reasons = {t.stop_reason for t in traces}
+        assert reasons == {"low-confidence", "same-item", "max-steps"}
+        assert any(s.candidate is None for t in traces for s in t.steps)   # slot head stopped
+        assert any(len(t.steps) > 1 for t in traces)
+
+    def test_noise_needs_an_array(self):
+        gp = make_generator()
+        initial = np.array([[0, 1, 2]])
+        cand = rand_ids(41, (1, gp.dims.num_candidates), gp.dims)
+        with pytest.raises(ValueError, match="noise"):
+            gen.generate_batch(initial, cand, np.zeros((1, gp.dims.embed_dim)), gp,
+                               gen.GumbelConfig(noise=True))
+
+
 class TestCheckpoint:
     def test_round_trip_and_dims_check(self, tmp_path):
         gp = make_generator(seed=50)

@@ -118,6 +118,67 @@ class TestNdcg:
         assert metrics.mean_ignoring_undefined(vals) == pytest.approx(0.75)
 
 
+def loop_auc(scores, labels):
+    """Test-only copy of the tie-walking auc loop the array form replaced."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    labels = np.asarray(labels).ravel()
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i, rank_pos = 0, 1.0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (rank_pos + rank_pos + (j - i))
+        rank_pos += j - i + 1
+        i = j + 1
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def loop_ndcg(scores, relevance, k):
+    """Test-only copy of the one-list ndcg_at_k that ndcg_rows replaced."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    relevance = np.asarray(relevance, dtype=np.float64).ravel()
+    if relevance.sum() <= 0:
+        return float("nan")
+    order = np.argsort(-scores, kind="mergesort")
+    discounts = 1.0 / np.log2(np.arange(2, scores.size + 2, dtype=np.float64))
+    dcg = float((relevance[order][:k] * discounts[:k]).sum())
+    ideal = float((np.sort(relevance)[::-1][:k] * discounts[:k]).sum())
+    return dcg / ideal
+
+
+class TestArrayMetricsMatchLoops:
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 400))
+    @settings(max_examples=60, deadline=None)
+    def test_auc(self, seed, size):
+        rng = RngStream(seed)
+        scores = np.round(rng.uniform((size,)), int(rng.integers(1, 4)))   # many ties
+        labels = (rng.uniform((size,)) < 0.3).astype(int)
+        labels[:2] = [0, 1]
+        assert auc(scores, labels) == loop_auc(scores, labels)
+
+    @given(seed=st.integers(0, 2**32 - 1), records=st.integers(1, 60), m=st.integers(1, 12),
+           k=st.sampled_from([1, 3, 5, 10]))
+    @settings(max_examples=60, deadline=None)
+    def test_ndcg_rows_and_their_mean(self, seed, records, m, k):
+        rng = RngStream(seed)
+        scores = np.round(rng.uniform((records, m)), 1)                     # ties
+        clicks = (rng.uniform((records, m)) < 0.25).astype(int)
+        rows = metrics.ndcg_rows(scores, clicks, k)
+        loops = [loop_ndcg(scores[i], clicks[i], k) for i in range(records)]
+        assert np.array_equal(rows, np.array(loops), equal_nan=True)
+        singles = [ndcg_at_k(s, c, k) for s, c in zip(scores, clicks)]
+        assert np.array_equal(rows, singles, equal_nan=True)
+        mean = metrics.mean_ignoring_undefined(rows)
+        want = metrics.mean_ignoring_undefined(loops)
+        assert mean == want or (math.isnan(mean) and math.isnan(want))
+
+
 class TestLogLoss:
     def test_known_value(self):
         assert log_loss([0.5], [1]) == pytest.approx(math.log(2))

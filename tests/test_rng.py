@@ -163,3 +163,35 @@ def test_permutation_and_choice():
 @settings(max_examples=50, deadline=None)
 def test_determinism_property(seed, n):
     assert np.array_equal(RngStream(seed).uniform((n,)), RngStream(seed).uniform((n,)))
+
+
+ROWS = st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6)
+
+
+@given(seed=U64, tags=TAGS, rows=ROWS, child=TAGS, m=st.integers(1, 6), n=st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_stream_rows_match_per_row_streams(seed, tags, rows, child, m, n):
+    """split_rows/StreamRows draw, row for row, what RngStream.split draws."""
+    streams = RngStream(seed).split_rows(*tags, rows=np.array(rows))
+    gumbel_m, gumbel_mn = streams.gumbel((m,)), streams.gumbel((m, n))
+    kids = streams.split(*child)
+    perm, uni = kids.permutation(m), kids.uniform((m, n))
+    assert gumbel_mn.shape == (len(rows), m, n) and uni.shape == (len(rows), m, n)
+    for i, r in enumerate(rows):
+        one = RngStream(seed).split(*tags, r)
+        assert np.array_equal(gumbel_m[i], one.gumbel((m,)))
+        assert np.array_equal(gumbel_mn[i], one.gumbel((m, n)))
+        kid = one.split(*child)
+        assert np.array_equal(perm[i], kid.permutation(m))
+        assert np.array_equal(uni[i], kid.uniform((m, n)))
+        assert kid.counter == kids.counter
+
+
+@given(seed=U64, counter=st.integers(0, 2**48), n=st.integers(1, 30))
+@settings(max_examples=100, deadline=None)
+def test_stream_rows_resume_at_a_counter(seed, counter, n):
+    rows = rng_mod.StreamRows([seed, seed ^ 1], counter)
+    got = rows.uniform((n,))
+    assert np.array_equal(got[0], ref_uniform(seed, counter, n))
+    assert np.array_equal(got[1], ref_uniform(seed ^ 1, counter, n))
+    assert rows.counter == counter + n

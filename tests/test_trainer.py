@@ -63,6 +63,40 @@ class TestListReward:
             tr.list_utility(np.array([np.inf]), np.array([0.5]), tr.RewardConfig())
 
 
+# Test-only copies of the scalar neighbor sampling that trainer.neighbor_edits
+# replaced; the batched code must reproduce them draw for draw.
+def ref_replacement_pool(list_idx, position, num_candidates):
+    in_list = set(int(i) for i in list_idx)
+    outside = [c for c in range(num_candidates) if c not in in_list]
+    if outside:
+        return np.asarray(outside, dtype=np.int64)
+    pool = [c for c in range(num_candidates) if c != int(list_idx[position])]
+    if not pool:
+        raise ValueError("candidate pool too small: no replacement available")
+    return np.asarray(pool, dtype=np.int64)
+
+
+def ref_sampled_positions(m, beta, rng):
+    if beta < 1:
+        count = max(1, int(round(beta * m)))
+        return sorted(int(i) for i in rng.choice(m, count))
+    return list(range(m))
+
+
+def ref_build_neighbors(list_idx, num_candidates, beta, rng):
+    """The per-record build_neighbors before neighbor_edits: (slot, candidate,
+    neighbor) per edit, one uniform((positions, reps)) draw."""
+    origin = tuple(int(i) for i in list_idx)
+    reps = 1 if beta < 1 else int(beta)
+    positions = ref_sampled_positions(len(origin), beta, rng)
+    pools = [ref_replacement_pool(origin, j, num_candidates) for j in positions]
+    sizes = np.array([len(pool) for pool in pools])[:, None]
+    picks = np.floor(rng.uniform((len(positions), reps)) * sizes).astype(np.int64)
+    picks = np.minimum(picks, sizes - 1)
+    return [(j, int(pool[p]), apply_move(origin, j, int(pool[p])))
+            for j, pool, row in zip(positions, pools, picks.tolist()) for p in row]
+
+
 class TestBuildNeighbors:
     def test_counts_beta_one(self):
         nset = tr.build_neighbors((0, 1, 2), num_candidates=6, beta=1, rng=RngStream(4))
@@ -110,8 +144,8 @@ class TestBuildNeighbors:
         origin = tuple(int(i) for i in list_idx)
         reps = 1 if beta < 1 else int(beta)
         out = []
-        for j in tr.sampled_positions(len(origin), beta, rng):
-            pool = tr.replacement_pool(origin, j, num_candidates)
+        for j in ref_sampled_positions(len(origin), beta, rng):
+            pool = ref_replacement_pool(origin, j, num_candidates)
             for _ in range(reps):
                 k = int(pool[rng.integers(0, len(pool))])
                 out.append((j, k, apply_move(origin, j, k)))
@@ -323,3 +357,47 @@ class TestTrainGenerator:
         batched = loss_for(np.arange(b))
         singles = [loss_for(np.array([i])) for i in range(b)]
         assert batched == pytest.approx(np.mean(singles), rel=1e-12)
+
+
+def ref_batch_rewards(cache, baseline, idx, eval_params, reward_cfg, training, epoch):
+    """Test-only copy of the per-record loop that _batch_rewards replaced."""
+    dims = eval_params.dims
+    b, m, n = len(idx), dims.list_size, dims.num_candidates
+    rewards, pos_sum, pos_cnt = np.zeros((b, m, n)), np.zeros((b, m)), np.zeros((b, m))
+    pdu_noise, cru_noise = np.zeros((b, m)), np.zeros((b, m, n))
+    all_lists, sample_refs = [], []
+    for row, rec_i in enumerate(idx):
+        rstream = RngStream(training.seed).split("sampling", epoch, int(rec_i))
+        pdu_noise[row] = rstream.gumbel((m,))
+        cru_noise[row] = rstream.gumbel((m, n))
+        for j, k, neighbor in ref_build_neighbors(cache.exposed_idx[rec_i], n, training.beta,
+                                                  rstream.split("neighbors")):
+            all_lists.append(cache.cand_ids[rec_i][list(neighbor)])
+            sample_refs.append((row, j, k))
+    rows = np.array([r for r, _, _ in sample_refs])
+    pctr, pcvr = ev.scores_for_lists(np.stack(all_lists), cache.e_user[idx][rows], eval_params)
+    for (row, j, k), value in zip(sample_refs, tr.list_reward(pctr, pcvr, reward_cfg)):
+        rel = value - baseline[idx[row]]
+        rewards[row, j, k] += rel
+        pos_sum[row, j] += rel
+        pos_cnt[row, j] += 1
+    pos_rewards = np.divide(pos_sum, pos_cnt, out=np.zeros_like(pos_sum), where=pos_cnt > 0)
+    return rewards, pos_rewards, pdu_noise, cru_noise
+
+
+@pytest.mark.parametrize("n_candidates", [3, 6])
+@pytest.mark.parametrize("beta", [0.4, 1, 2])
+def test_batch_rewards_match_per_record_loop(beta, n_candidates):
+    """All four reward arrays equal the per-record loop bit for bit, duplicate
+    picks (beta = 2) included, on swap (3 of 3) and substitution (3 of 6) pools."""
+    train, _, eval_params = small_setup(num_records=120, n_candidates=n_candidates)
+    training = TrainingSection(beta=beta, seed=9)
+    cache = tr._TrainCache(train, eval_params)
+    reward_cfg = tr.fit_reward_scale(cache.exposed_pctr, cache.exposed_pcvr, training)
+    baseline = tr.list_reward(cache.exposed_pctr, cache.exposed_pcvr, reward_cfg)
+    idx = RngStream(2).permutation(len(train))[:60]
+    for epoch in (0, 3):
+        args = (cache, baseline, idx, eval_params, reward_cfg, training, epoch)
+        got, want = tr._batch_rewards(*args), ref_batch_rewards(*args)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.count_nonzero(got[0]) > 0
