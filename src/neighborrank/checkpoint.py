@@ -1,13 +1,16 @@
-"""Binary checkpoint files for named float64 arrays.
+"""Binary checkpoint files for named float64 arrays, and atomic file writes.
 
 Layout (little-endian): magic "NLGRCKPT", version u32, then one record per
 array: name length u32, name bytes (utf-8), rank u32, dims u32 each, values
-as float64 row-major. Round-trips are bit-exact.
+as float64 row-major. Round-trips are bit-exact. Every artifact is written
+through `atomic_write`, so a failed write leaves the previous file in place.
 """
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +23,21 @@ class CheckpointError(ValueError):
     pass
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temp file beside `path` for writing; when the block ends it
+    replaces `path`, and when the block raises it is removed instead."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    path = Path(path)
     chunks = [MAGIC, struct.pack("<I", VERSION)]
     for name, arr in arrays.items():
         arr = np.asarray(arr, dtype=np.float64)
@@ -31,7 +47,8 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f8").tobytes())
-    path.write_bytes(b"".join(chunks))
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"".join(chunks))
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:

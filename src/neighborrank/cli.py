@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluator as ev
 from . import pipeline as pl
 from . import trainer as tr
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, atomic_write
 from .config import (
     Config,
     ConfigError,
@@ -64,7 +64,7 @@ def _file_hash(path: Path) -> str:
 
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict],
                provenance: dict[str, str] | None = None):
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in (provenance or {}).items():
             fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh)
@@ -167,7 +167,7 @@ def cmd_rerank(cfg: Config, out_dir: Path) -> None:
                               _load_evaluator(cfg, out_dir))
     lists, traces = pl.rerank_records(test, gp, _gumbel_config(cfg))
     path = out_dir / TRACE_FILE
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for i, (rec, final, trace) in enumerate(zip(test, lists, traces)):
             obj = {
                 "record": i,
@@ -266,7 +266,8 @@ def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
             for name in (DATASET_FILE, DATASET_FILE + ".manifest.json", EVAL_CKPT):
                 target = sub / name
                 if not target.exists():
-                    target.write_bytes((out_dir / name).read_bytes())
+                    with atomic_write(target, "wb") as fh:
+                        fh.write((out_dir / name).read_bytes())
         else:
             cmd_gen_data(cfg_v, sub)
             cmd_train_eval(cfg_v, sub)
@@ -286,12 +287,9 @@ def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
 
 
 def _read_report(path: Path) -> list[dict]:
-    rows = []
     with path.open("r", encoding="utf-8") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in reader:
-            rows.append({k: (v if v != "" else None) for k, v in row.items()})
-    return rows
+        return [{k: (v if v != "" else None) for k, v in row.items()} for row in reader]
 
 
 def _apply_overrides(cfg: Config, args) -> Config:
@@ -338,16 +336,8 @@ def main(argv=None) -> int:
             cfg = _apply_overrides(load_config(args.config), args)
             out_dir = Path(args.out) if args.out else Path(cfg.paths.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            if args.command == "gen-data":
-                cmd_gen_data(cfg, out_dir)
-            elif args.command == "train-eval":
-                cmd_train_eval(cfg, out_dir)
-            elif args.command == "train-gen":
-                cmd_train_gen(cfg, out_dir)
-            elif args.command == "rerank":
-                cmd_rerank(cfg, out_dir)
-            elif args.command == "bench":
-                cmd_bench(cfg, out_dir)
+            {"gen-data": cmd_gen_data, "train-eval": cmd_train_eval, "train-gen": cmd_train_gen,
+             "rerank": cmd_rerank, "bench": cmd_bench}[args.command](cfg, out_dir)
             return 0
     except (MissingArtifact, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

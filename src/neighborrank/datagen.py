@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .rng import RngStream
 
 SCHEMA_VERSION = 1
@@ -288,26 +289,18 @@ def write_dataset(records: list[InteractionRecord], cfg: DataConfig, path) -> Pa
     path.parent.mkdir(parents=True, exist_ok=True)
     num_train = int(math.floor(cfg.train_fraction * len(records)))
     try:
-        with path.open("w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(_record_to_json(rec))
                 fh.write("\n")
     except OSError as exc:
         raise DatasetError(f"cannot write dataset at {path}: {exc}") from exc
-    manifest = {
-        "version": SCHEMA_VERSION,
-        "num_records": len(records),
-        "num_train": num_train,
-        "num_test": len(records) - num_train,
-        "seed": cfg.seed,
-        "list_size": cfg.list_size,
-        "history_sessions": cfg.history_sessions,
-        "num_candidates": cfg.num_candidates,
-        "num_items": cfg.num_items,
-        "num_categories": cfg.num_categories,
-        "num_brands": cfg.num_brands,
-    }
-    manifest_path(path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    manifest = {"version": SCHEMA_VERSION, "num_records": len(records), "num_train": num_train,
+                "num_test": len(records) - num_train,
+                **{key: getattr(cfg, key) for key in ("seed", "list_size", "history_sessions",
+                   "num_candidates", "num_items", "num_categories", "num_brands")}}
+    with atomic_write(manifest_path(path), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return path
 
 

@@ -29,10 +29,6 @@ from .rng import RngStream
 FIELD_NAMES = ("item", "cat", "brand")
 
 
-class TrainingDiverged(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class ModelDims:
     """Shape contract shared by the evaluator and generator."""
@@ -228,11 +224,17 @@ def predict_graph(exposed_ids: np.ndarray, e_user: Tensor,
     flat = ad.reshape(x, (b, m, dims.flat_dim))
     pe = ad.broadcast_to(ad.expand_dims(params.ps["pos"], 0), (b, m, dims.embed_dim))
     h = ad.concat([flat, _tile_vector(e_list, m), _tile_vector(e_user, m), pe], axis=-1)
-    for li in range(len(dims.mlp_hidden)):
+    return slot_heads(h, params)
+
+
+def slot_heads(h: Tensor, params: EvaluatorParams) -> tuple[Tensor, Tensor]:
+    """The shared per-slot MLP and both heads: (..., mlp_input) rows
+    [item, e_list, e_user, pos] -> (pctr, pcvr), each shaped (...)."""
+    for li in range(len(params.dims.mlp_hidden)):
         h = ad.relu(ad.affine(h, params.ps[f"mlp.{li}.w"], params.ps[f"mlp.{li}.b"]))
-    pctr = ad.sigmoid(ad.reshape(ad.affine(h, params.ps["head.ctr.w"], params.ps["head.ctr.b"]), (b, m)))
-    pcvr = ad.sigmoid(ad.reshape(ad.affine(h, params.ps["head.cvr.w"], params.ps["head.cvr.b"]), (b, m)))
-    return pctr, pcvr
+    return tuple(ad.sigmoid(ad.reshape(
+        ad.affine(h, params.ps[f"head.{k}.w"], params.ps[f"head.{k}.b"]), h.shape[:-1]))
+        for k in ("ctr", "cvr"))
 
 
 def user_vectors(records: list[InteractionRecord], params: EvaluatorParams,
@@ -254,16 +256,38 @@ def scores_for_lists(list_ids: np.ndarray, e_user: np.ndarray,
                      params: EvaluatorParams) -> tuple[np.ndarray, np.ndarray]:
     """Inference scores for (K, m, F) lists with matching (K, D) user vectors.
 
-    Every inference path scores through here. Lists go through the network
-    SCORE_CHUNK at a time, so memory stays bounded for any K; each list's
-    scores do not depend on the chunking.
+    Training, metrics and the greedy baseline score here (the oracle uses
+    slot_tables). Lists go through the network SCORE_CHUNK at a time, so memory
+    stays bounded for any K; each list's scores do not depend on the chunking.
     """
-    pctr = np.empty(list_ids.shape[:2])
-    pcvr = np.empty(list_ids.shape[:2])
+    pctr, pcvr = np.empty((2, *list_ids.shape[:2]))
     with no_grad():
         for start in range(0, len(list_ids), SCORE_CHUNK):
             blk = slice(start, start + SCORE_CHUNK)
             p, v = predict_graph(list_ids[blk], ad.constant(e_user[blk]), params)
+            pctr[blk], pcvr[blk] = p.value, v.value
+    return pctr, pcvr
+
+
+def slot_tables(set_ids: np.ndarray, e_user: np.ndarray,
+                params: EvaluatorParams) -> tuple[np.ndarray, np.ndarray]:
+    """(pctr, pcvr), each (S, item, slot): every item of (S, m, F) sorted sets
+    at every slot, under one (D,) user vector. The list vector is pooled
+    without positions, so any ordering of a set scores as a gather from here
+    (up to the rounding of its pooling order). SCORE_CHUNK // m sets a pass."""
+    s, m = set_ids.shape[:2]
+    pctr, pcvr = np.empty((2, s, m, m))
+    step = max(1, SCORE_CHUNK // m)
+    with no_grad():
+        for start in range(0, s, step):
+            blk = slice(start, start + step)
+            x = embed_lists(set_ids[blk], params)
+            _, e_list = list_attention(x, params)
+            b = len(e_list.value)
+            parts = (x.value.reshape(b, m, 1, -1), e_list.value[:, None, None], e_user,
+                     params.ps["pos"].value)   # rows [item, e_list, e_user, pos[slot]]
+            h = np.concatenate([np.broadcast_to(a, (b, m, m, a.shape[-1])) for a in parts], -1)
+            p, v = slot_heads(ad.constant(h), params)
             pctr[blk], pcvr[blk] = p.value, v.value
     return pctr, pcvr
 
@@ -315,7 +339,8 @@ def train_evaluator(train_records: list[InteractionRecord],
 
     History carries one row per epoch and split with AUC, log loss and NDCG.
     Identical seed and data reproduce the history bit for bit.
-    Raises TrainingStalled when an epoch leaves every parameter unchanged.
+    Raises TrainingStalled when an epoch leaves every parameter unchanged, and
+    FloatingPointError when the loss is not finite.
     """
     if not train_records or not test_records:
         raise ValueError("train and test sets must be nonempty")
@@ -343,7 +368,7 @@ def train_evaluator(train_records: list[InteractionRecord],
             pctr, pcvr = predict_graph(exposed[idx], e_user, params)
             loss = loss_graph(pctr, pcvr, clicks[idx], convs[idx])
             if not np.isfinite(loss.value).all():
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {batches}")
+                raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {batches}")
             loss.backward()
             opt.step()
             opt.zero_grad()

@@ -186,15 +186,14 @@ def blocked_candidates(list_idx: np.ndarray, position, num_candidates: int) -> n
     With an all-in-list pool (n == m) nothing is blocked: choosing an item
     from another slot performs an exchange instead of creating a duplicate.
     """
-    list_idx = np.atleast_2d(np.asarray(list_idx))
+    list_idx = np.atleast_2d(list_idx)
     b, m = list_idx.shape
     if num_candidates <= m:
         return None
     blocked = np.zeros((b, num_candidates), dtype=bool)
-    rows = np.repeat(np.arange(b), m)
-    blocked[rows, list_idx.ravel()] = True
-    pos = np.broadcast_to(np.asarray(position), (b,))
-    blocked[np.arange(b), list_idx[np.arange(b), pos]] = False
+    rows = np.arange(b)
+    blocked[rows[:, None], list_idx] = True
+    blocked[rows, list_idx[rows, position]] = False
     return blocked
 
 
@@ -206,9 +205,10 @@ def apply_move(list_idx, position, candidate):
     """
     lists = np.asarray(list_idx)
     pos, cand = np.asarray(position)[..., None], np.asarray(candidate)[..., None]
-    out = np.where(lists == cand, np.take_along_axis(lists, pos, axis=-1), lists)
-    np.put_along_axis(out, pos, cand, axis=-1)
-    return tuple(int(i) for i in out) if out.ndim == 1 else out
+    at = np.arange(lists.shape[-1]) == pos
+    old = (lists * at).sum(axis=-1, keepdims=True)          # the item at `position`
+    out = np.where(at, cand, np.where(lists == cand, old, lists))
+    return tuple(out.tolist()) if out.ndim == 1 else out
 
 
 @dataclass
@@ -248,8 +248,7 @@ def generate_batch(initial: np.ndarray, cand_ids: np.ndarray, e_user: np.ndarray
     which do not depend on the other rows."""
     cfg = cfg.resolved(gp.dims)
     cur = np.array(initial, dtype=np.int64)
-    ordered = np.sort(cur, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
+    if np.count_nonzero(cur[:, :, None] == cur[:, None, :]) != cur.size:
         raise ValueError(f"initial list has duplicates: {cur.tolist()}")
     traces = [GenerationTrace() for _ in cur]
     active = np.arange(len(cur))
@@ -266,7 +265,7 @@ def generate_batch(initial: np.ndarray, cand_ids: np.ndarray, e_user: np.ndarray
             ks = np.zeros(len(active), dtype=np.int64)
             c_max = np.full(len(active), np.nan)      # stays NaN where no slot was picked
             for j in sorted(set(slots[picked].tolist())):
-                sel = np.flatnonzero(picked & (slots == j))
+                sel = picked & (slots == j)
                 rows = active[sel]
                 e_mask = masked_list_encoding(ad.constant(flat.value[sel]), j, gp)
                 g = candidate_logits(ad.constant(cand_flat[rows]), e_mask, ad.constant(e_user[rows]),

@@ -3,11 +3,13 @@
 AUC / log loss / NDCG score per-item predictions against labels. The
 permutation utilities enumerate every ordered m-selection from n candidates
 (lexicographic order over candidate indices), which lets the oracle in
-`pipeline` rank any proposed list against the full combinatorial space. Hit
-ratio at a percentage is then "did the proposed list land in the top slice".
+`pipeline` rank any proposed list against the full combinatorial space
+(scored per item set, see `selection_index`). Hit ratio at a percentage is
+then "did the proposed list land in the top slice".
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Iterator, Sequence
@@ -56,6 +58,21 @@ class PermutationSpace:
     def as_array(self) -> np.ndarray:
         """(count, m) int array of all selections; only for enumerable sizes."""
         return np.array(list(self), dtype=np.int64)
+
+
+@functools.cache
+def selection_index(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each m-selection of range(n), in enumeration order, by its item set:
+    `sets` (S, m) sorted, in itertools.combinations order; `set_of` (count,)
+    and `item_pos` (count, m) with `sets[set_of[i], item_pos[i]]` selection i.
+    Built once per (n, m); read-only, so every thread may share the arrays."""
+    perms = PermutationSpace(n, m).as_array()
+    sets, set_of = np.unique(np.sort(perms, axis=1), axis=0, return_inverse=True)
+    item_pos = np.argsort(np.argsort(perms, axis=1), axis=1)
+    out = (sets, set_of.reshape(-1), item_pos)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def auc(scores, labels) -> float:

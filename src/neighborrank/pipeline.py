@@ -3,7 +3,8 @@
 Everything here treats the evaluator as frozen. Hit-ratio evaluation scores
 the full permutation space of each record once with the shaped list reward,
 then ranks any number of proposed lists against that table, so comparing
-several rerankers costs one enumeration per record.
+several rerankers costs one table per record, gathered from the evaluator's
+per-set (item, slot) scores rather than one network pass per ordering.
 """
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import InteractionRecord
-from .evaluator import EvaluatorParams, scores_for_lists, user_vectors
+from .evaluator import EvaluatorParams, scores_for_lists, slot_tables, user_vectors
 from .generator import GeneratorParams, GenerationTrace, GumbelConfig, generate_batch
 from .metrics import MetricError, PermutationSpace, greedy_order, hit_ratio, rank_in_scores
+from .metrics import selection_index
 from .rng import RngStream
 from .trainer import RewardConfig, list_reward
 
@@ -42,10 +44,10 @@ def oracle_table(record: InteractionRecord, eval_params: EvaluatorParams,
     if space.count > ORACLE_CAP:
         raise MetricError(f"permutation space of size {space.count} exceeds enumeration "
                           f"cap {ORACLE_CAP}; sampled ranking is out of scope")
-    perms = space.as_array()
-    e_rep = np.broadcast_to(e_user, (len(perms), e_user.shape[-1]))
-    pctr, pcvr = scores_for_lists(record.candidate_ids[perms], e_rep, eval_params)
-    return OracleTable(space=space, scores=list_reward(pctr, pcvr, reward_cfg))
+    sets, set_of, item_pos = selection_index(space.n, space.m)
+    pctr, pcvr = slot_tables(record.candidate_ids[sets], e_user, eval_params)
+    at = (set_of[:, None], item_pos, np.arange(space.m))
+    return OracleTable(space=space, scores=list_reward(pctr[at], pcvr[at], reward_cfg))
 
 
 def random_list(space: PermutationSpace, rng: RngStream) -> tuple[int, ...]:

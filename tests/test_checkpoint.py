@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neighborrank.checkpoint import MAGIC, CheckpointError, load_arrays, save_arrays
+from neighborrank.checkpoint import MAGIC, CheckpointError, atomic_write, load_arrays, save_arrays
 from neighborrank.rng import RngStream
 
 
@@ -28,6 +28,18 @@ def test_resave_is_byte_identical(tmp_path):
     save_arrays(p1, arrays)
     save_arrays(p2, load_arrays(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_arrays(path, {"w": np.ones(3)})
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="halfway"):
+        with atomic_write(path, "wb") as fh:
+            fh.write(before[:10])
+            raise RuntimeError("halfway")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_header_magic(tmp_path):

@@ -14,8 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from neighborrank import autodiff as ad
+from neighborrank import cli
 from neighborrank.checkpoint import load_arrays, save_arrays
 from neighborrank.cli import main
+from neighborrank.config import load_config
+from neighborrank.datagen import load_dataset, write_dataset
 
 TINY = {
     "version": 1,
@@ -195,6 +198,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and "non-finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_evaluator_training_is_1(self, pipeline_run, tmp_path, capsys):
+        # one Adam step of this size sends the evaluator's MLP to inf - inf;
+        # larger steps fail earlier, inside the list attention's softmax
+        _, src = pipeline_run
+        cfg_path, out = write_config(tmp_path, "eval-diverged", training={"lr": 1e70})
+        copy_run(src, out)
+        (out / "eval.ckpt").unlink()
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "eval.ckpt").exists()
+
     def test_overflow_prints_one_stderr_line(self, pipeline_run, tmp_path):
         # in a fresh interpreter numpy's overflow warnings would reach stderr
         _, src = pipeline_run
@@ -212,6 +230,33 @@ class TestExitCodes:
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.json")]) == 2
+
+
+class TestAtomicWrites:
+    """A write that fails halfway leaves the previous file and no temp file."""
+
+    class Halfway:
+        def get(self, name):
+            raise RuntimeError("halfway")
+
+    def test_csv(self, tmp_path):
+        path = tmp_path / "report.csv"
+        cli._write_csv(path, ["model"], [{"model": "old"}])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="halfway"):
+            cli._write_csv(path, ["model"], [{"model": "new"}, self.Halfway()])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    def test_dataset(self, pipeline_run, tmp_path):
+        cfg_path, src = pipeline_run
+        records, _ = load_dataset(src / "dataset.jsonl")
+        out = copy_run(src, tmp_path / "data")
+        before = sorted((p.name, p.read_bytes()) for p in out.iterdir())
+        cfg = load_config(cfg_path).data
+        with pytest.raises(AttributeError):
+            write_dataset(records[:5] + [None], cfg, out / "dataset.jsonl")
+        assert sorted((p.name, p.read_bytes()) for p in out.iterdir()) == before
 
 
 @pytest.fixture(scope="module")

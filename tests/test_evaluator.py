@@ -360,6 +360,18 @@ class TestTraining:
             with pytest.raises(TrainingStalled, match="evaluator epoch 0"):
                 ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=1, seed=2))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_is_floating_point_error(self):
+        # the generator reports the same condition with the same type
+        cfg, train, test = small_dataset(num_records=200)
+        dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
+                            brand_vocab=cfg.num_brands, list_size=cfg.list_size,
+                            num_candidates=cfg.num_candidates,
+                            history_sessions=cfg.history_sessions,
+                            embed_dim=4, mlp_hidden=(8,))
+        with pytest.raises(FloatingPointError, match="non-finite loss at epoch 0"):
+            ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=1, lr=1e70))
+
     def test_empty_dataset_rejected(self):
         cfg, train, test = small_dataset()
         dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from neighborrank import evaluator as ev
 from neighborrank import metrics
+from neighborrank import pipeline as pl
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.metrics import (
     MetricError,
@@ -19,10 +20,11 @@ from neighborrank.metrics import (
     log_loss,
     ndcg_at_k,
     rank_in_scores,
+    selection_index,
 )
 from neighborrank.pipeline import OracleTable, oracle_table
 from neighborrank.rng import RngStream
-from neighborrank.trainer import RewardConfig
+from neighborrank.trainer import RewardConfig, list_reward
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -187,17 +189,83 @@ class TestLogLoss:
         assert np.isfinite(log_loss([0.0, 1.0], [1, 0]))
 
 
-def oracle_inputs(num_candidates: int, list_size: int):
+def oracle_inputs(num_candidates: int, list_size: int, mlp_hidden=(8,), record=0):
     """One simulated record and a randomly initialised evaluator for it."""
     cfg = DataConfig(seed=3, num_items=30, num_categories=4, num_brands=5, num_users=10,
                      num_records=2, num_candidates=num_candidates, list_size=list_size)
-    record = generate_records(cfg)[0]
+    rec = generate_records(cfg)[record]
     dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
                         brand_vocab=cfg.num_brands, list_size=list_size,
                         num_candidates=num_candidates, history_sessions=cfg.history_sessions,
-                        embed_dim=4, mlp_hidden=(8,))
+                        embed_dim=4, mlp_hidden=mlp_hidden)
     params = ev.EvaluatorParams.init(dims, RngStream(5), std=0.5)
-    return record, params, ev.user_vectors([record], params)[0]
+    return rec, params, ev.user_vectors([rec], params)[0]
+
+
+def enumerated_oracle_scores(record, params, reward_cfg, e_user):
+    """Reference oracle: every ordering scored whole through scores_for_lists."""
+    dims = params.dims
+    perms = PermutationSpace(dims.num_candidates, dims.list_size).as_array()
+    e_rep = np.broadcast_to(e_user, (len(perms), e_user.shape[-1]))
+    pctr, pcvr = ev.scores_for_lists(record.candidate_ids[perms], e_rep, params)
+    return list_reward(pctr, pcvr, reward_cfg)
+
+
+class TestSelectionIndex:
+    @pytest.mark.parametrize("n,m", [(5, 5), (12, 4), (8, 5), (6, 3), (4, 1)])
+    def test_rebuilds_every_selection(self, n, m):
+        sets, set_of, item_pos = selection_index(n, m)
+        perms = PermutationSpace(n, m).as_array()
+        assert set_of.shape == (len(perms),) and item_pos.shape == perms.shape
+        rebuilt = np.take_along_axis(sets[set_of], item_pos, axis=1)
+        assert np.array_equal(rebuilt, perms)
+        assert sets.tolist() == [list(c) for c in itertools.combinations(range(n), m)]
+
+    def test_arrays_are_read_only_and_shared(self):
+        arrays = selection_index(6, 3)
+        assert all(a is b for a, b in zip(arrays, selection_index(6, 3)))
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+class TestSetFactorizedOracle:
+    # swap pool, substitution pools, and a deeper MLP on a substitution pool
+    CASES = {"swap-5of5": (5, 5, (8,)), "sub-12of4": (12, 4, (8,)),
+             "sub-8of5": (8, 5, (8,)), "deep-8of5": (8, 5, (256, 64))}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("record", [0, 1])
+    def test_matches_enumerated_scoring(self, case, record):
+        n, m, hidden = self.CASES[case]
+        rec, params, e_user = oracle_inputs(n, m, hidden, record)
+        cfg = RewardConfig()
+        want = enumerated_oracle_scores(rec, params, cfg, e_user)
+        got = oracle_table(rec, params, cfg, e_user).scores
+        assert got.shape == want.shape and len(set(got.tolist())) > 1
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(np.argsort(-got, kind="stable"), np.argsort(-want, kind="stable"))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_slot_tables_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        rec, params, e_user = oracle_inputs(8, 5)
+        set_ids = rec.candidate_ids[selection_index(8, 5)[0]]
+        want = ev.slot_tables(set_ids, e_user, params)
+        monkeypatch.setattr(ev, "SCORE_CHUNK", chunk)
+        got = ev.slot_tables(set_ids, e_user, params)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_slot_table_entries_score_sorted_lists(self):
+        # a sorted list is its set's own row order: the same inputs and network
+        rec, params, e_user = oracle_inputs(6, 3)
+        sets = selection_index(6, 3)[0]
+        pctr, pcvr = ev.slot_tables(rec.candidate_ids[sets], e_user, params)
+        ref_ctr, ref_cvr = ev.scores_for_lists(
+            rec.candidate_ids[sets], np.broadcast_to(e_user, (len(sets), len(e_user))), params)
+        diag = np.arange(3)
+        assert np.array_equal(pctr[:, diag, diag], ref_ctr)
+        assert np.array_equal(pcvr[:, diag, diag], ref_cvr)
 
 
 class TestOracleRank:
@@ -233,8 +301,13 @@ class TestOracleRank:
         assert np.array_equal(first.scores, second.scores)
         assert first.rank((2, 1)) == second.rank((2, 1))
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         record, params, e_user = oracle_inputs(12, 5)  # 95,040 > 20,000
+
+        def no_index(*args):
+            raise AssertionError("index built before the cap check")
+
+        monkeypatch.setattr(pl, "selection_index", no_index)
         with pytest.raises(MetricError, match="cap"):
             oracle_table(record, params, RewardConfig(), e_user)
 
