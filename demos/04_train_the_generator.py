@@ -22,10 +22,11 @@ dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
 eval_params, _ = ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=4, seed=1))
 
 # neighbor sampling: the per-edit counterfactuals the trainer scores
-nset = tr.build_neighbors((0, 1, 2, 3, 4), num_candidates=5, beta=1, rng=RngStream(3))
+slots, cands, lists = tr.build_neighbors((0, 1, 2, 3, 4), num_candidates=5, beta=1,
+                                         rng=RngStream(3))
 print("sampled edits of the list (0,1,2,3,4):")
-for s in nset.samples:
-    print(f"  slot {s.position} <- candidate {s.candidate}  ->  {s.neighbor}")
+for slot, k, neighbor in zip(slots.tolist(), cands[:, 0].tolist(), lists[:, 0].tolist()):
+    print(f"  slot {slot} <- candidate {k}  ->  {tuple(neighbor)}")
 
 training = TrainingSection(gen_epochs=16, seed=2)   # the CLI's training section
 gp, history, reward_cfg = tr.train_generator(train, eval_params, training)

@@ -27,13 +27,12 @@ gp, _, reward_cfg = tr.train_generator(train, eval_params, training)
 # every reranker proposes one list per record; the oracle ranks each proposal
 # against all 120 permutations of that record's candidates
 e_user = ev.user_vectors(test, eval_params)
-tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user_cache=e_user)
-lists = pl.baseline_lists(test, eval_params, seed=3, e_user_cache=e_user)
+tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user)
+lists = pl.baseline_lists(test, eval_params, 3, e_user)
 lists["generator"], _ = pl.rerank_records(test, gp,
                                           GumbelConfig(tau=training.tau_end, noise=False),
-                                          e_user_cache=e_user)
-report = pl.evaluate_rerankers(test, eval_params, reward_cfg, lists,
-                               e_user_cache=e_user, tables=tables)
+                                          e_user)
+report = pl.evaluate_rerankers(tables, lists)
 
 print(f"{'model':10s}  HR@10%   HR@1%    mean shaped reward")
 for model in ("input", "random", "greedy", "generator"):

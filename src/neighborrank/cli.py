@@ -34,7 +34,6 @@ from .config import (
 )
 from .datagen import DatasetError, gen_logs, load_dataset, split_records
 from .generator import GeneratorParams, GumbelConfig
-from .metrics import hit_ratio
 
 DATASET_FILE = "dataset.jsonl"
 EVAL_CKPT = "eval.ckpt"
@@ -143,10 +142,9 @@ def cmd_train_gen(cfg: Config, out_dir: Path) -> None:
     def epoch_cb(gp, epoch):
         if not tables:
             rc = tr.reward_config(cfg.training, gp.reward_scale)
-            tables.extend(pl.build_oracle_tables(val, eval_params, rc, e_user_cache=val_users))
-        lists, _ = pl.rerank_records(val, gp, gcfg, e_user_cache=val_users)
-        ranks = [table.rank(final) for table, final in zip(tables, lists)]
-        return {"hr10_val": hit_ratio(ranks, tables[0].space.count, 10.0)}
+            tables.extend(pl.build_oracle_tables(val, eval_params, rc, val_users))
+        lists, _ = pl.rerank_records(val, gp, gcfg, val_users)
+        return {"hr10_val": pl.evaluate_rerankers(tables, {"gen": lists}).hr["gen"][10.0]}
 
     gp, history, reward_cfg = tr.train_generator(train, eval_params, cfg.training,
                                                  epoch_callback=epoch_cb)
@@ -165,7 +163,8 @@ def cmd_rerank(cfg: Config, out_dir: Path) -> None:
     _, test = _load_split(cfg, out_dir)
     gp = GeneratorParams.load(_require(out_dir / GEN_CKPT, "generator checkpoint"),
                               _load_evaluator(cfg, out_dir))
-    lists, traces = pl.rerank_records(test, gp, _gumbel_config(cfg))
+    lists, traces = pl.rerank_records(test, gp, _gumbel_config(cfg),
+                                      ev.user_vectors(test, gp.shared))
     path = out_dir / TRACE_FILE
     with atomic_write(path, "w", encoding="utf-8") as fh:
         for i, (rec, final, trace) in enumerate(zip(test, lists, traces)):
@@ -192,10 +191,11 @@ def _bench_report(cfg: Config, out_dir: Path) -> list[dict]:
 
     eval_row = ev.evaluate_metrics(test, eval_params)
     e_user = ev.user_vectors(test, eval_params)
-    lists = pl.baseline_lists(test, eval_params, seed=cfg.training.seed, e_user_cache=e_user)
-    lists["generator"], _ = pl.rerank_records(test, gp, _gumbel_config(cfg),
-                                              e_user_cache=e_user)
-    hr = pl.evaluate_rerankers(test, eval_params, reward_cfg, lists, e_user_cache=e_user)
+    lists = pl.baseline_lists(test, eval_params, cfg.training.seed, e_user)
+    lists["generator"], _ = pl.rerank_records(test, gp, _gumbel_config(cfg), e_user)
+    # one table alive at a time: the generator builds each as it is ranked
+    tables = (pl.oracle_table(rec, eval_params, reward_cfg, u) for rec, u in zip(test, e_user))
+    hr = pl.evaluate_rerankers(tables, lists)
     rows = [{"model": "evaluator", **eval_row}]
     for model in ("input", "random", "greedy", "generator"):
         rows.append({"model": model,
@@ -206,7 +206,8 @@ def _bench_report(cfg: Config, out_dir: Path) -> list[dict]:
 REPORT_COLUMNS = ["model", "auc", "logloss", "ndcg5", "ndcg10", "hr10", "hr1"]
 
 
-def cmd_bench(cfg: Config, out_dir: Path) -> None:
+def cmd_bench(cfg: Config, out_dir: Path) -> list[dict]:
+    """Write report.csv and print it; returns its rows."""
     rows = _bench_report(cfg, out_dir)
     provenance = {
         "config_sha256": config_hash(cfg),
@@ -223,6 +224,7 @@ def cmd_bench(cfg: Config, out_dir: Path) -> None:
             v = row.get(name)
             cells.append(("" if v is None else f"{v:.4f}").ljust(w))
         print("  " + " ".join(cells))
+    return rows
 
 
 _EVAL_STAGE_KEYS = {
@@ -272,8 +274,7 @@ def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
             cmd_gen_data(cfg_v, sub)
             cmd_train_eval(cfg_v, sub)
         cmd_train_gen(cfg_v, sub)
-        cmd_bench(cfg_v, sub)
-        rows = _read_report(sub / REPORT_FILE)
+        rows = cmd_bench(cfg_v, sub)
         gen_row = next(r for r in rows if r["model"] == "generator")
         eval_row = next(r for r in rows if r["model"] == "evaluator")
         summary.append({"param": param, "value": value,
@@ -284,12 +285,6 @@ def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
                ["param", "value", "auc", "logloss", "ndcg5", "ndcg10", "hr10", "hr1"],
                summary, {"sweep_param": param})
     print(f"wrote {out_dir / SUMMARY_FILE} ({len(values)} settings)")
-
-
-def _read_report(path: Path) -> list[dict]:
-    with path.open("r", encoding="utf-8") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        return [{k: (v if v != "" else None) for k, v in row.items()} for row in reader]
 
 
 def _apply_overrides(cfg: Config, args) -> Config:

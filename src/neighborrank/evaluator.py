@@ -104,28 +104,16 @@ class EvaluatorParams:
     def init(cls, dims: ModelDims, rng: RngStream, std: float = 0.01) -> "EvaluatorParams":
         return cls(dims, ParamSet.init(_layout(dims), rng, std))
 
-    def trainable(self) -> dict[str, Tensor]:
-        return self.ps.trainable()
-
-    def set_trainable(self, flag: bool):
-        self.ps.set_trainable(flag)
-
-    def values(self) -> dict[str, np.ndarray]:
-        return self.ps.values()
-
-    def load_values(self, values: dict[str, np.ndarray]):
-        self.ps.load_values(values)
-
     def save(self, path):
         arrays = {"meta.dims": self.dims.to_meta()}
         arrays.update(self.ps.values())
         save_arrays(path, arrays)
 
     @classmethod
-    def load(cls, path, trainable: bool = False) -> "EvaluatorParams":
+    def load(cls, path) -> "EvaluatorParams":
         dims, _, arrays = read_checkpoint(path, with_scale=False)
         params = cls(dims, ParamSet.from_arrays(_layout(dims), arrays))
-        params.set_trainable(trainable)
+        params.ps.set_trainable(False)
         return params
 
 
@@ -315,19 +303,15 @@ def loss_graph(pctr: Tensor, pcvr: Tensor, clicks: np.ndarray, convs: np.ndarray
     return ad.reduce_mean(total, axis=0)
 
 
-def _metric_row(pctr: np.ndarray, records: list[InteractionRecord]) -> dict:
+def evaluate_metrics(records: list[InteractionRecord], params: EvaluatorParams) -> dict:
+    exposed = np.stack([r.exposed_ids for r in records])
+    pctr, _ = scores_for_lists(exposed, user_vectors(records, params), params)
     clicks = np.stack([r.clicks for r in records])
     auc = metrics.auc(pctr.ravel(), clicks.ravel())
     logloss = metrics.log_loss(pctr.ravel(), clicks.ravel())
     ndcg5 = metrics.mean_ignoring_undefined(metrics.ndcg_rows(pctr, clicks, 5))
     ndcg10 = metrics.mean_ignoring_undefined(metrics.ndcg_rows(pctr, clicks, 10))
     return {"auc": auc, "logloss": logloss, "ndcg5": ndcg5, "ndcg10": ndcg10}
-
-
-def evaluate_metrics(records: list[InteractionRecord], params: EvaluatorParams) -> dict:
-    exposed = np.stack([r.exposed_ids for r in records])
-    pctr, _ = scores_for_lists(exposed, user_vectors(records, params), params)
-    return _metric_row(pctr, records)
 
 
 def train_evaluator(train_records: list[InteractionRecord],
@@ -346,7 +330,7 @@ def train_evaluator(train_records: list[InteractionRecord],
         raise ValueError("train and test sets must be nonempty")
     rng = RngStream(training.seed).split("evaluator")
     params = EvaluatorParams.init(dims, rng.split("init"))
-    opt = Adam(params.trainable(), lr=training.lr)
+    opt = Adam(params.ps.trainable(), lr=training.lr)
 
     exposed = np.stack([r.exposed_ids for r in train_records])
     sessions = np.stack([r.session_ids for r in train_records])
@@ -356,7 +340,7 @@ def train_evaluator(train_records: list[InteractionRecord],
 
     history: list[dict] = []
     best_auc = -1.0
-    best_values = params.values()
+    best_values = params.ps.values()
     for epoch in range(training.eval_epochs):
         order = rng.split("shuffle", epoch).permutation(n)
         start_values = {k: p.value.copy() for k, p in opt.params.items()}
@@ -382,6 +366,6 @@ def train_evaluator(train_records: list[InteractionRecord],
         history.append({"epoch": epoch, "split": "test", "loss": None, **test_row})
         if test_row["auc"] > best_auc:
             best_auc = test_row["auc"]
-            best_values = params.values()
-    params.load_values(best_values)
+            best_values = params.ps.values()
+    params.ps.load_values(best_values)
     return params, history

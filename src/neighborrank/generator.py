@@ -90,9 +90,6 @@ class GeneratorParams:
     def init(cls, shared: EvaluatorParams, rng: RngStream, std: float = 0.01) -> "GeneratorParams":
         return cls(shared, ParamSet.init(_layout(shared.dims), rng, std))
 
-    def trainable(self) -> dict[str, Tensor]:
-        return self.ps.trainable()
-
     def save(self, path):
         arrays = {"meta.dims": self.dims.to_meta(),
                   "meta.reward_scale": np.array(self.reward_scale)}
@@ -100,12 +97,12 @@ class GeneratorParams:
         save_arrays(path, arrays)
 
     @classmethod
-    def load(cls, path, shared: EvaluatorParams, trainable: bool = False) -> "GeneratorParams":
+    def load(cls, path, shared: EvaluatorParams) -> "GeneratorParams":
         dims, scale, arrays = read_checkpoint(path, with_scale=True)
         if dims != shared.dims:
             raise ValueError(f"generator dims {dims} do not match shared evaluator dims {shared.dims}")
         out = cls(shared, ParamSet.from_arrays(_layout(dims), arrays), scale)
-        out.ps.set_trainable(trainable)
+        out.ps.set_trainable(False)
         return out
 
 

@@ -37,9 +37,6 @@ class PermutationSpace:
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return itertools.permutations(range(self.n), self.m)
 
-    def __len__(self) -> int:
-        return self.count
-
     def index(self, perm: Sequence[int]) -> int:
         """Lexicographic position of one m-selection, 0-based."""
         perm = tuple(int(p) for p in perm)
@@ -154,12 +151,11 @@ def hit_cutoff(count: int, pct: float) -> int:
     return max(1, math.floor(pct / 100.0 * count))
 
 
-def hit_ratio(ranks: Sequence[int], counts: Sequence[int] | int, pct: float) -> float:
-    """Fraction of records whose rank lands within the top pct% cutoff."""
+def hit_ratio(ranks: Sequence[int], count: int, pct: float) -> float:
+    """Fraction of records whose rank among `count` lists lands within the
+    top pct% cutoff; NaN when there are no records."""
     ranks = np.asarray(ranks, dtype=np.int64)
-    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), ranks.shape)
-    hits = [int(r <= hit_cutoff(int(c), pct)) for r, c in zip(ranks, counts)]
-    return float(np.mean(hits)) if len(hits) else float("nan")
+    return float(np.mean(ranks <= hit_cutoff(count, pct))) if ranks.size else float("nan")
 
 
 def greedy_order(pctr: np.ndarray) -> np.ndarray:

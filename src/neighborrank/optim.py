@@ -6,10 +6,6 @@ import numpy as np
 from .autodiff import Tensor
 
 
-class NonFiniteGradientError(RuntimeError):
-    pass
-
-
 class TrainingStalled(RuntimeError):
     """A training epoch left every trainable parameter bitwise unchanged."""
 
@@ -41,7 +37,7 @@ class Adam:
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros(p.shape)
             if not np.isfinite(g).all():
-                raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
+                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
             m = self.m[name]
             v = self.v[name]
             m *= b1

@@ -46,10 +46,10 @@ class ParamSet:
             ps.add(name, _checked(arrays, name, shape))
         return ps
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> Tensor:
+    def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._tensors:
             raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=trainable, op="param")
+        t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True, op="param")
         self._tensors[name] = t
         return t
 

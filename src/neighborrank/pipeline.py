@@ -9,12 +9,13 @@ per-set (item, slot) scores rather than one network pass per ordering.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .datagen import InteractionRecord
-from .evaluator import EvaluatorParams, scores_for_lists, slot_tables, user_vectors
+from .evaluator import EvaluatorParams, scores_for_lists, slot_tables
 from .generator import GeneratorParams, GenerationTrace, GumbelConfig, generate_batch
 from .metrics import MetricError, PermutationSpace, greedy_order, hit_ratio, rank_in_scores
 from .metrics import selection_index
@@ -31,10 +32,6 @@ class OracleTable:
     space: PermutationSpace
     scores: np.ndarray
 
-    def rank(self, perm) -> int:
-        """1-based rank of one list; ties go to the earlier enumerated list."""
-        return rank_in_scores(self.scores, self.space.index(perm))
-
 
 def oracle_table(record: InteractionRecord, eval_params: EvaluatorParams,
                  reward_cfg: RewardConfig, e_user: np.ndarray) -> OracleTable:
@@ -50,10 +47,6 @@ def oracle_table(record: InteractionRecord, eval_params: EvaluatorParams,
     return OracleTable(space=space, scores=list_reward(pctr[at], pcvr[at], reward_cfg))
 
 
-def random_list(space: PermutationSpace, rng: RngStream) -> tuple[int, ...]:
-    return tuple(int(i) for i in rng.permutation(space.n)[: space.m])
-
-
 def greedy_rerank(records: list[InteractionRecord], eval_params: EvaluatorParams,
                   e_user: np.ndarray) -> list[tuple[int, ...]]:
     """Score each logged list once, then reorder its slots by descending pCTR."""
@@ -64,77 +57,62 @@ def greedy_rerank(records: list[InteractionRecord], eval_params: EvaluatorParams
 
 @dataclass
 class HrReport:
-    """Hit ratios and mean rewards per reranker, plus per-record detail."""
+    """Hit ratios at 10% and 1%, and mean rewards, per reranker."""
 
     hr: dict[str, dict[float, float]]
     mean_reward: dict[str, float]
-    ranks: dict[str, list[int]] = field(repr=False, default_factory=dict)
-    count: int = 0
 
 
-def evaluate_rerankers(records: list[InteractionRecord],
-                       eval_params: EvaluatorParams,
-                       reward_cfg: RewardConfig,
-                       lists_by_model: dict[str, list[tuple[int, ...]]],
-                       pcts: tuple[float, ...] = (10.0, 1.0),
-                       e_user_cache: np.ndarray | None = None,
-                       tables: list[OracleTable] | None = None) -> HrReport:
-    """Rank each model's proposed list per record against the full space."""
-    if e_user_cache is None:
-        e_user_cache = user_vectors(records, eval_params)
+def evaluate_rerankers(tables: Iterable[OracleTable],
+                       lists_by_model: dict[str, list[tuple[int, ...]]]) -> HrReport:
+    """Rank each model's proposed list for record i against the i-th table.
+
+    Tables are consumed one at a time, so a generator holds one in memory."""
     ranks: dict[str, list[int]] = {model: [] for model in lists_by_model}
     rewards: dict[str, list[float]] = {model: [] for model in lists_by_model}
-    for i, record in enumerate(records):
-        table = tables[i] if tables is not None else oracle_table(
-            record, eval_params, reward_cfg, e_user_cache[i])
+    count = 0
+    for i, table in enumerate(tables):
+        count = table.space.count
         for model, lists in lists_by_model.items():
             idx = table.space.index(lists[i])
             ranks[model].append(rank_in_scores(table.scores, idx))
             rewards[model].append(float(table.scores[idx]))
 
-    space = PermutationSpace(eval_params.dims.num_candidates, eval_params.dims.list_size)
-    report = HrReport(hr={}, mean_reward={}, ranks=ranks, count=space.count)
+    report = HrReport(hr={}, mean_reward={})
     for model in lists_by_model:
         report.mean_reward[model] = (float(np.mean(rewards[model])) if rewards[model]
                                      else float("nan"))
-        report.hr[model] = {pct: hit_ratio(ranks[model], space.count, pct) for pct in pcts}
+        report.hr[model] = {pct: hit_ratio(ranks[model], count, pct) for pct in (10.0, 1.0)}
     return report
 
 
 def build_oracle_tables(records: list[InteractionRecord], eval_params: EvaluatorParams,
-                        reward_cfg: RewardConfig,
-                        e_user_cache: np.ndarray | None = None) -> list[OracleTable]:
+                        reward_cfg: RewardConfig, e_user: np.ndarray) -> list[OracleTable]:
     """Precompute per-record permutation tables (reusable across rerankers)."""
-    if e_user_cache is None:
-        e_user_cache = user_vectors(records, eval_params)
-    return [oracle_table(rec, eval_params, reward_cfg, e_user_cache[i])
+    return [oracle_table(rec, eval_params, reward_cfg, e_user[i])
             for i, rec in enumerate(records)]
 
 
 def rerank_records(records: list[InteractionRecord], gp: GeneratorParams,
-                   cfg: GumbelConfig, e_user_cache: np.ndarray | None = None
+                   cfg: GumbelConfig, e_user: np.ndarray
                    ) -> tuple[list[tuple[int, ...]], list[GenerationTrace]]:
     """Run the generator walk on every record at once (noise off: deterministic)."""
     if not records:
         return [], []
-    if e_user_cache is None:
-        e_user_cache = user_vectors(records, gp.shared)
     return generate_batch(np.stack([r.exposed for r in records]),
-                          np.stack([r.candidate_ids for r in records]), e_user_cache,
+                          np.stack([r.candidate_ids for r in records]), e_user,
                           gp, dataclasses.replace(cfg, noise=False))
 
 
 def baseline_lists(records: list[InteractionRecord], eval_params: EvaluatorParams,
-                   seed: int, e_user_cache: np.ndarray | None = None
-                   ) -> dict[str, list[tuple[int, ...]]]:
-    """Input, random and greedy rerankers for a record set."""
+                   seed: int, e_user: np.ndarray) -> dict[str, list[tuple[int, ...]]]:
+    """Input, random and greedy rerankers for a record set; record i's random list
+    is a permutation from RngStream(seed).split("random-baseline").split(i), cut to m."""
     dims = eval_params.dims
-    space = PermutationSpace(dims.num_candidates, dims.list_size)
-    if e_user_cache is None:
-        e_user_cache = user_vectors(records, eval_params)
-    rng = RngStream(seed).split("random-baseline")
+    rows = RngStream(seed).split("random-baseline").split_rows(rows=np.arange(len(records)))
     return {
         "input": [tuple(int(x) for x in r.exposed) for r in records],
-        "random": [random_list(space, rng.split(i)) for i in range(len(records))],
-        "greedy": greedy_rerank(records, eval_params, e_user_cache),
+        "random": [tuple(p) for p in
+                   rows.permutation(dims.num_candidates)[:, : dims.list_size].tolist()],
+        "greedy": greedy_rerank(records, eval_params, e_user),
     }

@@ -92,21 +92,6 @@ def list_reward(pctr: np.ndarray, pcvr: np.ndarray, cfg: RewardConfig):
     return shaped_reward(list_utility(pctr, pcvr, cfg))
 
 
-@dataclass
-class NeighborReward:
-    """One counterfactual edit and its scored outcome."""
-
-    position: int
-    candidate: int
-    neighbor: tuple[int, ...]
-
-
-@dataclass
-class NeighborSet:
-    origin: tuple[int, ...]
-    samples: list[NeighborReward]
-
-
 def neighbor_edits(origins: np.ndarray, num_candidates: int, beta: float,
                    streams: StreamRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-edit neighbors of (B, m) lists, one stream row per list: every
@@ -146,16 +131,15 @@ def neighbor_edits(origins: np.ndarray, num_candidates: int, beta: float,
     return positions, cands, lists
 
 
-def build_neighbors(list_idx, num_candidates: int, beta: float, rng: RngStream) -> NeighborSet:
-    """Sample single-edit neighbors of one list: neighbor_edits of a batch of one."""
-    origin = tuple(int(i) for i in list_idx)
+def build_neighbors(list_idx, num_candidates: int, beta: float, rng: RngStream
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample single-edit neighbors of one list: neighbor_edits of a batch of
+    one, returning its slots (P,), candidates (P, R) and neighbor lists (P, R, m)."""
     streams = StreamRows([rng.seed], rng.counter)
-    positions, cands, lists = neighbor_edits(np.array([origin]), num_candidates, beta, streams)
+    positions, cands, lists = neighbor_edits(np.array([list_idx]), num_candidates, beta,
+                                             streams)
     rng.counter = streams.counter
-    return NeighborSet(origin, [
-        NeighborReward(j, k, tuple(nb)) for j, row_k, row_lists in
-        zip(positions[0].tolist(), cands[0].tolist(), lists[0].tolist())
-        for k, nb in zip(row_k, row_lists)])
+    return positions[0], cands[0], lists[0]
 
 
 def counterfactual_reward_loss(position_weights: np.ndarray, soft_c: list[Tensor],
@@ -251,7 +235,7 @@ def train_generator(train_records: list[InteractionRecord],
     """
     if not train_records:
         raise ValueError("train set must be nonempty")
-    eval_params.set_trainable(False)
+    eval_params.ps.set_trainable(False)
     alpha = 0.0 if training.ablation == "no-l2" else training.alpha
 
     cache = _TrainCache(train_records, eval_params)
@@ -263,7 +247,7 @@ def train_generator(train_records: list[InteractionRecord],
     rng = RngStream(training.seed).split("generator")
     gp = GeneratorParams.init(eval_params, rng.split("init"))
     gp.reward_scale = reward_cfg.scale
-    opt = Adam(gp.trainable(), lr=training.lr)
+    opt = Adam(gp.ps.trainable(), lr=training.lr)
 
     n_records = cache.n_records
     batches_per_epoch = math.ceil(n_records / training.batch_size)

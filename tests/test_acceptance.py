@@ -6,6 +6,7 @@ in module-scoped fixtures and shared across criteria.
 """
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from neighborrank.cli import main as cli_main
 from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.generator import GumbelConfig, gumbel_sample
-from neighborrank.metrics import PermutationSpace, hit_ratio
+from neighborrank.metrics import PermutationSpace
 from neighborrank.rng import RngStream
 
 
@@ -79,11 +80,11 @@ class TestCriterion1Gradients:
                 pctr, pcvr = ev.predict_graph(ids, e_user, params)
                 return ev.loss_graph(pctr, pcvr, clicks, convs)
 
-            worst = max(worst, ad.grad_check(eval_loss, list(params.trainable().values())))
+            worst = max(worst, ad.grad_check(eval_loss, list(params.ps.trainable().values())))
 
             # full generator forward + combined loss
             from neighborrank.generator import GeneratorParams
-            params.set_trainable(False)
+            params.ps.set_trainable(False)
             gp = GeneratorParams.init(params, rng.split("gen"))
             healthy_params(gp, rng.split("gscale"))
             cache_flat = rng.split("cf").normal((2, m, dims.flat_dim))
@@ -118,7 +119,7 @@ class TestCriterion1Gradients:
                 aux = tr.position_guidance_loss(ad.softmax_rows(h), pos_rewards)
                 return ad.add(main_term, ad.scale(aux, 0.2))
 
-            worst = max(worst, ad.grad_check(gen_loss, list(gp.trainable().values())))
+            worst = max(worst, ad.grad_check(gen_loss, list(gp.ps.trainable().values())))
         elapsed = time.time() - start
         check("1", worst < 1e-4 and elapsed < 60,
               f"max rel err {worst:.3e} over 20 configs in {elapsed:.1f}s "
@@ -175,24 +176,17 @@ class TestCriterion4PermutationSpace:
         params = ev.EvaluatorParams.init(dims, RngStream(77))
         rng = RngStream(78)
         cand_ids = rand_ids(rng, (12,), dims)
+        record = SimpleNamespace(candidate_ids=cand_ids)   # all the oracle reads
         rec_sessions = rand_ids(rng.split("s"), (3, 4), dims)
         start = time.time()
         with ad.no_grad():
-            e_user = ev.encode_sessions(rec_sessions[None], params).value
-        space = PermutationSpace(12, 4)
-        perms = space.as_array()
-        rewards = np.empty(space.count)
-        cfg = tr.RewardConfig()
-        for s in range(0, space.count, 4096):
-            blk = perms[s : s + 4096]
-            pctr, pcvr = ev.scores_for_lists(
-                cand_ids[blk], np.broadcast_to(e_user, (len(blk), dims.embed_dim)), params)
-            rewards[s : s + 4096] = tr.list_reward(pctr, pcvr, cfg)
+            e_user = ev.encode_sessions(rec_sessions[None], params).value[0]
+        table = pl.oracle_table(record, params, tr.RewardConfig(), e_user)
         elapsed = time.time() - start
-        check("4", c55 == 120 and c124 == 11_880 and np.isfinite(rewards).all()
-              and elapsed < 60,
-              f"counts 120/{c124}; scored all 11,880 lists with the evaluator "
-              f"in {elapsed:.1f}s")
+        check("4", c55 == 120 and c124 == 11_880 and len(table.scores) == c124
+              and np.isfinite(table.scores).all() and elapsed < 60,
+              f"counts 120/{c124}; the oracle scored all {len(table.scores):,} orderings "
+              f"of one 12-of-4 record in {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------- criterion 5
@@ -206,12 +200,12 @@ class TestCriterion5NeighborInvariant:
             m = int(rng.split("m", produced).integers(2, 6))
             n = m + int(rng.split("n", produced).integers(1, 5))  # strict pool exists
             origin = tuple(int(x) for x in rng.split("o", produced).choice(n, m))
-            nset = tr.build_neighbors(origin, n, beta=1, rng=rng.split("b", produced))
-            for s in nset.samples:
-                diff = sum(a != b for a, b in zip(nset.origin, s.neighbor))
+            _, cands, lists = tr.build_neighbors(origin, n, beta=1, rng=rng.split("b", produced))
+            for k, neighbor in zip(cands.ravel().tolist(), lists.reshape(-1, m).tolist()):
+                diff = sum(a != b for a, b in zip(origin, neighbor))
                 ok &= diff == 1
-                ok &= len(set(s.neighbor)) == m
-                ok &= s.candidate not in nset.origin
+                ok &= len(set(neighbor)) == m
+                ok &= k not in origin
                 produced += 1
         check("5", ok, f"{produced} sampled neighbor lists at edit distance exactly 1, "
               "duplicate-free")
@@ -249,14 +243,11 @@ def e2e():
 
     t0 = time.time()
     e_user_test = ev.user_vectors(test, eval_params)
-    tables = pl.build_oracle_tables(test, eval_params, reward_cfg,
-                                    e_user_cache=e_user_test)
+    tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user_test)
     gcfg = GumbelConfig(tau=training.tau_end, noise=False)
-    lists = pl.baseline_lists(test, eval_params, seed=3, e_user_cache=e_user_test)
-    lists["generator"], _ = pl.rerank_records(test, gen_full, gcfg,
-                                              e_user_cache=e_user_test)
-    report = pl.evaluate_rerankers(test, eval_params, reward_cfg, lists,
-                                   e_user_cache=e_user_test, tables=tables)
+    lists = pl.baseline_lists(test, eval_params, 3, e_user_test)
+    lists["generator"], _ = pl.rerank_records(test, gen_full, gcfg, e_user_test)
+    report = pl.evaluate_rerankers(tables, lists)
     timing["evaluate"] = time.time() - t0
     return {
         "cfg": cfg, "train": train, "test": test, "eval_params": eval_params,
@@ -271,10 +262,8 @@ def train_variant(e2e_state, **overrides):
     gp, _, reward_cfg = tr.train_generator(e2e_state["train"], e2e_state["eval_params"],
                                            training)
     gen_lists, _ = pl.rerank_records(e2e_state["test"], gp, e2e_state["gcfg"],
-                                     e_user_cache=e2e_state["e_user_test"])
-    tables = e2e_state["tables"]
-    ranks = [tables[i].rank(gen_lists[i]) for i in range(len(gen_lists))]
-    return hit_ratio(ranks, tables[0].space.count, 10.0)
+                                     e2e_state["e_user_test"])
+    return pl.evaluate_rerankers(e2e_state["tables"], {"gen": gen_lists}).hr["gen"][10.0]
 
 
 @pytest.fixture(scope="module")

@@ -301,6 +301,44 @@ class TestFuzzInputs:
                     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+FUZZ_BASE = {**TINY, "data": {**TINY["data"], "num_records": 60},
+             "training": {**TINY["training"], "eval_epochs": 1, "gen_epochs": 1,
+                          "hr_validation_records": 6}}
+FUZZ_SOURCES = {
+    "config": ("gen-data", json.dumps(FUZZ_BASE, indent=1)),
+    "sweep-spec": ("sweep", json.dumps({"version": 1, "param": "training.alpha",
+                                        "values": [0.2], "base": FUZZ_BASE}, indent=1)),
+}
+
+
+class TestFuzzConfigs:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("source", sorted(FUZZ_SOURCES))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_damaged_config_exits_with_a_code(self, source, data):
+        """One-byte substitutions and truncations of a config or a sweep spec
+        end in a documented exit code with one error line, never an exception."""
+        command, text = FUZZ_SOURCES[source]
+        raw = bytearray(text.encode("utf-8"))
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        if data.draw(st.booleans(), label="truncate"):
+            del raw[pos:]
+        else:
+            raw[pos] = data.draw(st.sampled_from(b"0123456789") | st.integers(0, 255),
+                                 label="byte")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_bytes(bytes(raw))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                # --out keeps a damaged paths.out_dir from choosing where to write
+                rc = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert rc in (0, 1, 2, 3), rc
+        if rc:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 class TestSeedOverride:
     def test_seed_flag_changes_dataset(self, tmp_path):
         cfg_path, out = write_config(tmp_path, "seeded")

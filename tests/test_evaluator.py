@@ -253,7 +253,7 @@ class TestGradients:
             pctr, pcvr = ev.predict_graph(ids, e_user, params)
             return ev.loss_graph(pctr, pcvr, clicks, convs)
 
-        wrt = list(params.trainable().values())
+        wrt = list(params.ps.trainable().values())
         err = ad.grad_check(build, wrt, h=1e-5)
         assert err < 1e-4
 

@@ -19,7 +19,7 @@ def tiny_dims(**overrides) -> ev.ModelDims:
 
 def make_generator(dims=None, seed=5) -> gen.GeneratorParams:
     shared = ev.EvaluatorParams.init(dims or tiny_dims(), RngStream(seed))
-    shared.set_trainable(False)
+    shared.ps.set_trainable(False)
     return gen.GeneratorParams.init(shared, RngStream(seed + 1))
 
 

@@ -269,6 +269,10 @@ class TestSetFactorizedOracle:
 
 
 class TestOracleRank:
+    @staticmethod
+    def rank(oracle, perm):
+        return rank_in_scores(oracle.scores, oracle.space.index(perm))
+
     def test_hand_sorted_table(self):
         # n=3, m=2: six lists, scored by a hand-set table
         space = PermutationSpace(3, 2)
@@ -277,13 +281,13 @@ class TestOracleRank:
             (1, 2): 0.4, (2, 0): 0.1, (2, 1): 0.95,
         }
         oracle = OracleTable(space, np.array([table[perm] for perm in space]))
-        assert oracle.rank((2, 1)) == 1
-        assert oracle.rank((0, 1)) == 2
-        assert oracle.rank((1, 0)) == 3
+        assert self.rank(oracle, (2, 1)) == 1
+        assert self.rank(oracle, (0, 1)) == 2
+        assert self.rank(oracle, (1, 0)) == 3
         # (0,2) and (1,2) tie at 0.4; (0,2) enumerates first so wins the tie
-        assert oracle.rank((0, 2)) == 4
-        assert oracle.rank((1, 2)) == 5
-        assert oracle.rank((2, 0)) == 6
+        assert self.rank(oracle, (0, 2)) == 4
+        assert self.rank(oracle, (1, 2)) == 5
+        assert self.rank(oracle, (2, 0)) == 6
 
     def test_argmax_is_rank_one_and_min_is_last(self):
         record, params, e_user = oracle_inputs(5, 3)
@@ -291,15 +295,15 @@ class TestOracleRank:
         assert len(oracle.scores) == oracle.space.count == 60
         assert len(set(oracle.scores.tolist())) > 1
         perms = list(oracle.space)
-        assert oracle.rank(perms[int(np.argmax(oracle.scores))]) == 1
-        assert oracle.rank(perms[int(np.argmin(oracle.scores))]) == oracle.space.count
+        assert self.rank(oracle, perms[int(np.argmax(oracle.scores))]) == 1
+        assert self.rank(oracle, perms[int(np.argmin(oracle.scores))]) == oracle.space.count
 
     def test_rank_deterministic(self):
         record, params, e_user = oracle_inputs(4, 2)
         first = oracle_table(record, params, RewardConfig(), e_user)
         second = oracle_table(record, params, RewardConfig(), e_user)
         assert np.array_equal(first.scores, second.scores)
-        assert first.rank((2, 1)) == second.rank((2, 1))
+        assert self.rank(first, (2, 1)) == self.rank(second, (2, 1))
 
     def test_cap_enforced(self, monkeypatch):
         record, params, e_user = oracle_inputs(12, 5)  # 95,040 > 20,000
@@ -332,6 +336,10 @@ class TestHitRatio:
         count = 120
         ranks = rng.integers(1, count + 1, (4000,))
         assert abs(hit_ratio(ranks, count, 10) - 0.10) < 0.02
+        # the per-record loop it replaced, bit for bit
+        for pct in (10.0, 1.0):
+            loop = float(np.mean([int(r <= hit_cutoff(count, pct)) for r in ranks]))
+            assert hit_ratio(ranks, count, pct) == loop
 
 
 def test_greedy_order_stable():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from neighborrank import autodiff as ad
-from neighborrank.optim import Adam, NonFiniteGradientError
+from neighborrank.optim import Adam
 
 
 def test_first_step_hand_evaluated():
@@ -54,7 +54,7 @@ def test_non_finite_gradient_names_parameter():
     p = ad.param(np.array([1.0]))
     p.grad = np.array([np.nan])
     opt = Adam({"embed.item": p})
-    with pytest.raises(NonFiniteGradientError, match="embed.item"):
+    with pytest.raises(FloatingPointError, match="embed.item"):
         opt.step()
 
 

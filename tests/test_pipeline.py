@@ -9,7 +9,7 @@ from neighborrank import trainer as tr
 from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.generator import GumbelConfig
-from neighborrank.metrics import PermutationSpace, hit_ratio
+from neighborrank.metrics import hit_ratio, rank_in_scores
 from neighborrank.rng import RngStream
 
 
@@ -29,17 +29,15 @@ def setup():
     gp, _, reward_cfg = tr.train_generator(train, eval_params,
                                            TrainingSection(gen_epochs=2, seed=2))
     e_user = ev.user_vectors(test, eval_params)
-    tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user_cache=e_user)
+    tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user)
     return dict(cfg=cfg, test=test, eval_params=eval_params, gp=gp,
                 reward_cfg=reward_cfg, e_user=e_user, tables=tables)
 
 
 def test_greedy_sits_between_random_and_oracle(setup):
     test, tables = setup["test"], setup["tables"]
-    lists = pl.baseline_lists(test, setup["eval_params"], seed=5,
-                              e_user_cache=setup["e_user"])
-    report = pl.evaluate_rerankers(test, setup["eval_params"], setup["reward_cfg"],
-                                   lists, e_user_cache=setup["e_user"], tables=tables)
+    lists = pl.baseline_lists(test, setup["eval_params"], 5, setup["e_user"])
+    report = pl.evaluate_rerankers(tables, lists)
     greedy = report.hr["greedy"][10.0]
     random_hr = report.hr["random"][10.0]
     assert random_hr == pytest.approx(0.10, abs=0.05)
@@ -68,8 +66,8 @@ def test_oracle_table_extremes(setup):
     perms = list(table.space)
     best = perms[int(np.argmax(table.scores))]
     worst = perms[int(np.argmin(table.scores))]
-    assert table.rank(best) == 1
-    assert table.rank(worst) == table.space.count
+    assert rank_in_scores(table.scores, table.space.index(best)) == 1
+    assert rank_in_scores(table.scores, table.space.index(worst)) == table.space.count
 
 
 def test_training_after_pipeline_still_learns(setup, monkeypatch):
@@ -77,16 +75,16 @@ def test_training_after_pipeline_still_learns(setup, monkeypatch):
     # evaluator must still train
     test = setup["test"][:60]
     gcfg = GumbelConfig(tau=0.3, noise=False)
-    pl.rerank_records(test, setup["gp"], gcfg, e_user_cache=setup["e_user"][:60])
+    pl.rerank_records(test, setup["gp"], gcfg, setup["e_user"][:60])
     pl.build_oracle_tables(test, setup["eval_params"], setup["reward_cfg"],
-                           e_user_cache=setup["e_user"][:60])
+                           setup["e_user"][:60])
 
     initial = {}
     real_init = ev.EvaluatorParams.init
 
     def spy_init(cls, *args, **kwargs):
         params = real_init(*args, **kwargs)
-        initial.update(params.values())
+        initial.update(params.ps.values())
         return params
 
     monkeypatch.setattr(ev.EvaluatorParams, "init", classmethod(spy_init))
@@ -94,7 +92,7 @@ def test_training_after_pipeline_still_learns(setup, monkeypatch):
                                     setup["eval_params"].dims,
                                     TrainingSection(eval_epochs=1, seed=4))
     assert initial
-    changed = [name for name, value in trained.values().items()
+    changed = [name for name, value in trained.ps.values().items()
                if not np.array_equal(value, initial[name])]
     assert changed
 
@@ -103,8 +101,7 @@ def test_generated_reward_not_below_input_for_majority(setup):
     # the editor may leave a list unchanged; it should rarely make it worse
     test, tables = setup["test"], setup["tables"]
     gcfg = GumbelConfig(tau=0.3, noise=False)
-    gen_lists, _ = pl.rerank_records(test, setup["gp"], gcfg,
-                                     e_user_cache=setup["e_user"])
+    gen_lists, _ = pl.rerank_records(test, setup["gp"], gcfg, setup["e_user"])
     wins = 0
     for i, rec in enumerate(test):
         r_gen = tables[i].scores[tables[i].space.index(gen_lists[i])]
@@ -113,22 +110,35 @@ def test_generated_reward_not_below_input_for_majority(setup):
     assert wins / len(test) > 0.5
 
 
-def test_random_list_is_valid_selection():
-    space = PermutationSpace(7, 4)
-    rng = RngStream(3)
-    for i in range(50):
-        perm = pl.random_list(space, rng.split(i))
-        assert len(perm) == 4
-        assert len(set(perm)) == 4
-        assert all(0 <= p < 7 for p in perm)
+@pytest.mark.parametrize("n,m", [(5, 5), (12, 4)], ids=["5of5", "12of4"])
+def test_random_baseline_matches_per_record_streams(n, m):
+    """One split_rows draw gives record i the first m of a permutation from
+    stream split("random-baseline").split(i), as the per-record loop did."""
+    cfg = DataConfig(seed=3, num_items=30, num_categories=4, num_brands=5, num_users=10,
+                     num_records=200, list_size=m, num_candidates=n)
+    records = generate_records(cfg)
+    dims = ev.ModelDims(item_vocab=30, cat_vocab=4, brand_vocab=5, list_size=m,
+                        num_candidates=n, history_sessions=cfg.history_sessions)
+    params = ev.EvaluatorParams.init(dims, RngStream(1))
+    got = pl.baseline_lists(records, params, 7, ev.user_vectors(records, params))["random"]
+    rng = RngStream(7).split("random-baseline")
+    assert got == [tuple(int(x) for x in rng.split(i).permutation(n)[:m])
+                   for i in range(len(records))]
+    assert all(type(x) is int for perm in got for x in perm)
+    assert len(set(got)) > 1
 
 
 def test_hr_report_structure(setup):
-    test = setup["test"][:40]
+    test, tables = setup["test"][:40], setup["tables"][:40]
     lists = {"input": [tuple(int(x) for x in r.exposed) for r in test]}
-    report = pl.evaluate_rerankers(test, setup["eval_params"], setup["reward_cfg"],
-                                   lists, e_user_cache=setup["e_user"][:40],
-                                   tables=setup["tables"][:40])
+    report = pl.evaluate_rerankers(tables, lists)
     assert set(report.hr["input"]) == {10.0, 1.0}
-    assert len(report.ranks["input"]) == 40
-    assert report.count == 120
+    ranks = [rank_in_scores(t.scores, t.space.index(p)) for t, p in zip(tables, lists["input"])]
+    assert report.hr["input"][10.0] == hit_ratio(ranks, 120, 10.0)
+    # a generator of tables, consumed once, gives the same report
+    assert pl.evaluate_rerankers(iter(tables), lists) == report
+
+
+def test_hr_report_of_no_records_is_nan():
+    report = pl.evaluate_rerankers([], {"input": []})
+    assert np.isnan(report.hr["input"][10.0]) and np.isnan(report.mean_reward["input"])

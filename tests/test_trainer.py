@@ -97,41 +97,49 @@ def ref_build_neighbors(list_idx, num_candidates, beta, rng):
             for j, pool, row in zip(positions, pools, picks.tolist()) for p in row]
 
 
+def edits(list_idx, num_candidates, beta, rng):
+    """build_neighbors as (slot, candidate, neighbor) per edit, in (slot, repeat) order."""
+    positions, cands, lists = tr.build_neighbors(list_idx, num_candidates, beta, rng)
+    return [(j, k, tuple(nb)) for j, row_k, row_lists in
+            zip(positions.tolist(), cands.tolist(), lists.tolist())
+            for k, nb in zip(row_k, row_lists)]
+
+
 class TestBuildNeighbors:
     def test_counts_beta_one(self):
-        nset = tr.build_neighbors((0, 1, 2), num_candidates=6, beta=1, rng=RngStream(4))
-        assert len(nset.samples) == 3
+        positions, cands, lists = tr.build_neighbors((0, 1, 2), num_candidates=6, beta=1,
+                                                     rng=RngStream(4))
+        assert positions.shape == (3,) and cands.shape == (3, 1) and lists.shape == (3, 1, 3)
 
     def test_each_neighbor_distance_one(self):
-        rng = RngStream(5)
-        nset = tr.build_neighbors((0, 2, 4), num_candidates=8, beta=2, rng=rng)
-        for s in nset.samples:
-            diff = sum(a != b for a, b in zip(nset.origin, s.neighbor))
+        origin = (0, 2, 4)
+        for _, k, neighbor in edits(origin, num_candidates=8, beta=2, rng=RngStream(5)):
+            diff = sum(a != b for a, b in zip(origin, neighbor))
             assert diff == 1
-            assert s.candidate not in nset.origin
-            assert len(set(s.neighbor)) == 3
+            assert k not in origin
+            assert len(set(neighbor)) == 3
 
     def test_counts_beta_two(self):
-        nset = tr.build_neighbors((0, 1, 2), num_candidates=6, beta=2, rng=RngStream(6))
-        assert len(nset.samples) == 6
+        samples = edits((0, 1, 2), num_candidates=6, beta=2, rng=RngStream(6))
+        assert len(samples) == 6
         per_pos = {j: 0 for j in range(3)}
-        for s in nset.samples:
-            per_pos[s.position] += 1
+        for j, _, _ in samples:
+            per_pos[j] += 1
         assert all(v == 2 for v in per_pos.values())
 
     def test_fractional_beta_samples_subset(self):
-        nset = tr.build_neighbors((0, 1, 2, 3), num_candidates=9, beta=0.5, rng=RngStream(7))
-        assert len(nset.samples) == 2  # round(0.5 * 4)
-        positions = {s.position for s in nset.samples}
-        assert len(positions) == 2
+        samples = edits((0, 1, 2, 3), num_candidates=9, beta=0.5, rng=RngStream(7))
+        assert len(samples) == 2  # round(0.5 * 4)
+        assert len({j for j, _, _ in samples}) == 2
 
     def test_swap_fallback_when_pool_exhausted(self):
         # all candidates already in the list: neighbors are exchanges
-        nset = tr.build_neighbors((0, 1, 2), num_candidates=3, beta=1, rng=RngStream(8))
-        assert len(nset.samples) == 3
-        for s in nset.samples:
-            assert sorted(s.neighbor) == [0, 1, 2]
-            diff = sum(a != b for a, b in zip(nset.origin, s.neighbor))
+        origin = (0, 1, 2)
+        samples = edits(origin, num_candidates=3, beta=1, rng=RngStream(8))
+        assert len(samples) == 3
+        for _, _, neighbor in samples:
+            assert sorted(neighbor) == [0, 1, 2]
+            diff = sum(a != b for a, b in zip(origin, neighbor))
             assert diff == 2   # an exchange touches two slots
 
     def test_single_slot_single_candidate_fails(self):
@@ -158,10 +166,8 @@ class TestBuildNeighbors:
             seed = RngStream(trial).split("pick", n, m).integers(0, 2**62)
             origin = tuple(RngStream(seed).choice(n, m).tolist())
             fast, ref = RngStream(seed, trial), RngStream(seed, trial)
-            nset = tr.build_neighbors(origin, n, beta, fast)
-            got = [(s.position, s.candidate, s.neighbor) for s in nset.samples]
+            got = edits(origin, n, beta, fast)
             assert got == self.scalar_loop_neighbors(origin, n, beta, ref)
-            assert all(type(k) is int for _, k, _ in got)
             assert fast.counter == ref.counter
 
 
@@ -307,10 +313,10 @@ def test_ablation_resolution():
 class TestTrainGenerator:
     def test_frozen_evaluator_bit_identical_and_history(self):
         train, test, eval_params = small_setup(num_records=300)
-        before = {k: v.copy() for k, v in eval_params.values().items()}
+        before = {k: v.copy() for k, v in eval_params.ps.values().items()}
         training = TrainingSection(gen_epochs=2, batch_size=32, seed=5)
         gp, history, reward_cfg = tr.train_generator(train, eval_params, training)
-        after = eval_params.values()
+        after = eval_params.ps.values()
         for name in before:
             assert before[name].tobytes() == after[name].tobytes(), name
         assert len(history) == 2
