@@ -83,7 +83,10 @@ class Tensor:
         self.grad += g
 
     def backward(self):
-        """Backpropagate from a scalar root; root grad is set to 1."""
+        """Backpropagate from a scalar root; root grad is set to 1.
+
+        Each interior node, the root included, drops its gradient once it has
+        passed it to its parents, so afterwards only leaves hold a gradient."""
         if self.size != 1:
             raise ShapeError(f"backward() root must be scalar, got shape {self.shape}")
         order = topo_order(self)
@@ -91,6 +94,7 @@ class Tensor:
         for node in reversed(order):
             if node._bwd is not None and node.grad is not None:
                 node._bwd(node.grad)
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -213,6 +217,15 @@ def matmul(a, b) -> Tensor:
     av, bv = a.value, b.value
 
     def bwd(g):
+        if bv.ndim == 2:
+            # rows x weight: fold the leading axes into rows, so b's gradient is
+            # one (k, n) GEMM, never a (..., k, n) stack summed afterwards
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                a._accum((g2 @ bv.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accum(av.reshape(-1, av.shape[-1]).T @ g2)
+            return
         if a.requires_grad:
             ga = g @ np.swapaxes(bv, -1, -2)
             a._accum(_unbroadcast(ga, a.shape))

@@ -29,7 +29,7 @@ from .config import (
     config_from_dict,
     config_hash,
     load_config,
-    parse_json,
+    read_json,
     set_by_dotted_key,
 )
 from .datagen import DatasetError, gen_logs, load_dataset, split_records
@@ -189,8 +189,8 @@ def _bench_report(cfg: Config, out_dir: Path) -> list[dict]:
     gp = GeneratorParams.load(_require(out_dir / GEN_CKPT, "generator checkpoint"), eval_params)
     reward_cfg = tr.reward_config(cfg.training, gp.reward_scale)
 
-    eval_row = ev.evaluate_metrics(test, eval_params)
     e_user = ev.user_vectors(test, eval_params)
+    eval_row = ev.evaluate_metrics(test, eval_params, e_user)
     lists = pl.baseline_lists(test, eval_params, cfg.training.seed, e_user)
     lists["generator"], _ = pl.rerank_records(test, gp, _gumbel_config(cfg), e_user)
     # one table alive at a time: the generator builds each as it is ranked
@@ -234,8 +234,7 @@ _EVAL_STAGE_KEYS = {
 
 
 def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
-    payload = parse_json(_require(spec_path, "sweep spec").read_text(encoding="utf-8"),
-                         f"sweep spec {spec_path}")
+    payload = read_json(_require(spec_path, "sweep spec"), f"sweep spec {spec_path}")
     if not isinstance(payload, dict):
         raise ConfigError("sweep spec: expected an object")
     for key in ("version", "param", "values", "base"):

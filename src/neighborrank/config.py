@@ -139,12 +139,17 @@ def config_from_dict(payload: dict) -> Config:
     return Config(version=CONFIG_VERSION, **sections)
 
 
-def parse_json(text: str, what) -> object:
-    """JSON with NaN and Infinity rejected, since they pass every range check."""
+def read_json(path: Path, what) -> object:
+    """The JSON file at path, with NaN and Infinity rejected, since they pass
+    every range check. Bytes that are not UTF-8 and invalid JSON raise
+    ConfigError naming `what`."""
     def reject(name):
         raise ConfigError(f"{what}: non-finite number {name} is not allowed")
     try:
-        return json.loads(text, parse_constant=reject)
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: invalid JSON ({exc.msg})") from exc
 
@@ -153,7 +158,7 @@ def load_config(path) -> Config:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    return config_from_dict(parse_json(path.read_text(encoding="utf-8"), path))
+    return config_from_dict(read_json(path, path))
 
 
 def config_hash(cfg: Config) -> str:

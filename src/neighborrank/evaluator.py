@@ -303,9 +303,12 @@ def loss_graph(pctr: Tensor, pcvr: Tensor, clicks: np.ndarray, convs: np.ndarray
     return ad.reduce_mean(total, axis=0)
 
 
-def evaluate_metrics(records: list[InteractionRecord], params: EvaluatorParams) -> dict:
+def evaluate_metrics(records: list[InteractionRecord], params: EvaluatorParams,
+                     e_user: np.ndarray) -> dict:
+    """AUC, log loss and NDCG of the logged clicks, given the records' (N, D)
+    user vectors."""
     exposed = np.stack([r.exposed_ids for r in records])
-    pctr, _ = scores_for_lists(exposed, user_vectors(records, params), params)
+    pctr, _ = scores_for_lists(exposed, e_user, params)
     clicks = np.stack([r.clicks for r in records])
     auc = metrics.auc(pctr.ravel(), clicks.ravel())
     logloss = metrics.log_loss(pctr.ravel(), clicks.ravel())
@@ -359,8 +362,8 @@ def train_evaluator(train_records: list[InteractionRecord],
             epoch_loss += loss.item()
             batches += 1
         raise_if_unchanged(start_values, opt.params, f"evaluator epoch {epoch}")
-        train_row = evaluate_metrics(train_records, params)
-        test_row = evaluate_metrics(test_records, params)
+        train_row = evaluate_metrics(train_records, params, user_vectors(train_records, params))
+        test_row = evaluate_metrics(test_records, params, user_vectors(test_records, params))
         mean_loss = epoch_loss / batches
         history.append({"epoch": epoch, "split": "train", "loss": mean_loss, **train_row})
         history.append({"epoch": epoch, "split": "test", "loss": None, **test_row})

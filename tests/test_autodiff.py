@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,8 @@ def test_grad_same_shape_as_value():
 PRIMITIVE_CASES = [
     ("affine", lambda t: ad.reduce_sum(ad.affine(t[0], t[1], t[2]), axis=None), [(3, 4), (4, 2), (2,)]),
     ("matmul_batched", lambda t: ad.reduce_sum(ad.matmul(t[0], t[1]), axis=None), [(2, 3, 4), (4, 3)]),
+    ("matmul_rows_4d", lambda t: ad.reduce_sum(ad.mul(ad.matmul(t[0], t[1]), t[2]), axis=None),
+     [(2, 3, 2, 4), (4, 3), (2, 3, 2, 3)]),
     ("softmax", lambda t: ad.reduce_sum(ad.mul(ad.softmax_rows(t[0]), t[1]), axis=None), [(3, 4), (3, 4)]),
     ("sigmoid", lambda t: ad.reduce_sum(ad.sigmoid(t[0]), axis=None), [(3, 3)]),
     ("relu_shifted", lambda t: ad.reduce_sum(ad.relu(ad.add(t[0], 0.3)), axis=None), [(4, 3)]),
@@ -275,3 +278,83 @@ def test_forward_and_gradients_bit_identical_across_runs():
     r2 = run()
     for a, b_ in zip(r1, r2):
         assert np.array_equal(a, b_)
+
+
+def test_backward_releases_interior_grads():
+    x = ad.param(np.array([1.0, 2.0]))
+    w = ad.param(np.array([[0.5], [-1.0]]))
+    hidden = ad.matmul(ad.expand_dims(x, 0), w)
+    root = ad.reduce_sum(ad.sigmoid(hidden), axis=None)
+    root.backward()
+    assert hidden.grad is None and root.grad is None
+    assert x.grad is not None and w.grad is not None
+
+
+def broadcast_matmul_grads(av, bv, g):
+    """The batched rule as the reference: one (k, n) product per leading
+    index, summed down to the operands' shapes afterwards."""
+    ga = g @ np.swapaxes(bv, -1, -2)
+    gb = np.swapaxes(av, -1, -2) @ g
+    while ga.ndim > av.ndim:
+        ga = ga.sum(axis=0)
+    while gb.ndim > bv.ndim:
+        gb = gb.sum(axis=0)
+    ga = ga.sum(axis=tuple(i for i, d in enumerate(av.shape) if d == 1), keepdims=True)
+    gb = gb.sum(axis=tuple(i for i, d in enumerate(bv.shape) if d == 1), keepdims=True)
+    return ga, gb
+
+
+def matmul_grads(av, bv, g):
+    a, b = ad.param(av), ad.param(bv)
+    ad.reduce_sum(ad.mul(ad.matmul(a, b), g), axis=None).backward()
+    return a.grad, b.grad
+
+
+@pytest.mark.parametrize("a_shape", [(1, 5, 7), (3, 5, 7), (64, 5, 48), (2, 3, 5, 7)])
+@pytest.mark.parametrize("n", [4, 1])
+def test_rows_by_weight_grads_match_batched_rule(a_shape, n):
+    rng = RngStream(9)
+    av, bv = rng.normal(a_shape), rng.normal((a_shape[-1], n))
+    g = rng.normal(a_shape[:-1] + (n,))
+    got, want = matmul_grads(av, bv, g), broadcast_matmul_grads(av, bv, g)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape
+        assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("b_shape", [(3, 7, 5), (1, 7, 5)])
+def test_batched_by_batched_keeps_the_batched_rule(b_shape):
+    # attention products such as q @ k^T: b has a batch axis, nothing is folded
+    rng = RngStream(10)
+    av, bv, g = rng.normal((3, 5, 7)), rng.normal(b_shape), rng.normal((3, 5, 5))
+    got, want = matmul_grads(av, bv, g), broadcast_matmul_grads(av, bv, g)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n", [32, 1])
+def test_rows_by_weight_forward_is_batch_invariant(n):
+    # every list's scores must not depend on which batch it was scored in
+    rng = RngStream(11)
+    x, w = rng.normal((64, 5, 48)), rng.normal((48, n))
+    out = ad.matmul(ad.constant(x), ad.constant(w)).value
+    for i in range(len(x)):
+        assert np.array_equal(out[i : i + 1], ad.matmul(ad.constant(x[i : i + 1]), ad.constant(w)).value)
+
+
+def test_rows_by_weight_backward_memory_is_bounded():
+    rng = RngStream(12)
+    x, w = ad.param(rng.normal((256, 5, 512))), ad.param(rng.normal((512, 256)) * 0.05)
+    tracemalloc.start()
+    try:
+        out = ad.matmul(x, w)
+        root = ad.reduce_sum(ad.relu(out), axis=None)
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        root.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    operands = x.value.nbytes + w.value.nbytes + out.value.nbytes
+    # the batched rule would build a (256, 512, 256) stack: 268 MB
+    assert peak - before < 4 * operands, (peak - before, operands)

@@ -339,6 +339,22 @@ class TestFuzzConfigs:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("source", sorted(FUZZ_SOURCES))
+    def test_undecodable_byte_exits_3_naming_the_file(self, tmp_path, source):
+        command, text = FUZZ_SOURCES[source]
+        raw = bytearray(text.encode("utf-8"))
+        raw[text.index("version")] = 0x8E
+        path = tmp_path / f"undecodable_{source}.json"
+        path.write_bytes(bytes(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert path.name in err.getvalue() and "0x8e" in err.getvalue()
+
+
 class TestSeedOverride:
     def test_seed_flag_changes_dataset(self, tmp_path):
         cfg_path, out = write_config(tmp_path, "seeded")
