@@ -392,17 +392,6 @@ def log(a) -> Tensor:
     return _make(out_val, "log", (a,), bwd)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out_val = np.exp(a.value)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * out_val)
-
-    return _make(out_val, "exp", (a,), bwd)
-
-
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient passes only through unclipped entries."""
     a = _as_tensor(a)

@@ -172,6 +172,8 @@ class DataConfig:
             raise ValueError("num_candidates cannot exceed num_items")
         if self.position_slope <= 0:
             raise ValueError("position_slope must be positive (position bias must decrease)")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
 
 
 def ground_truth(cfg: DataConfig, catalog: Catalog | None = None) -> GroundTruthModel:

@@ -139,59 +139,62 @@ def position_logits(list_flat: Tensor, e_list: Tensor, e_user: Tensor,
     return ad.reshape(ad.affine(z, gp.ps["pdu.w"], gp.ps["pdu.b"]), (b, m))
 
 
-def masked_list_encoding(list_flat: Tensor, position: int, gp: GeneratorParams) -> Tensor:
-    """Encode the list with one slot blanked by the learned mask token, (B, D)."""
+def masked_list_encoding(list_flat: np.ndarray, slots: np.ndarray, gp: GeneratorParams) -> Tensor:
+    """Encode the list once per slot of `slots` (B, S), that slot blanked by
+    the learned mask token: (B, S, D).
+
+    list_flat is the (B, m, F*D) plain array of the current lists: they are
+    frozen inputs, so no gradient can be lost on them.
+    """
     b, m, fd = list_flat.shape
-    if not (0 <= position < m):
-        raise ValueError(f"position {position} outside list of length {m}")
-    token = ad.broadcast_to(ad.reshape(gp.ps["mask.token"], (1, 1, fd)), (b, 1, fd))
-    rows = []
-    if position > 0:
-        rows.append(ad.slice_axis(list_flat, 1, 0, position))
-    rows.append(token)
-    if position < m - 1:
-        rows.append(ad.slice_axis(list_flat, 1, position + 1, m))
-    masked = ad.concat(rows, axis=1)
-    return self_attention_pool(masked, gp.ps["mask.q"], gp.ps["mask.k"], gp.ps["mask.v"])
+    at = (slots[..., None] == np.arange(m))[..., None]            # (B, S, m, 1) one-hot
+    if np.count_nonzero(at) != slots.size:
+        raise ValueError(f"slots {slots.tolist()} outside list of length {m}")
+    # list rows where the slot is not, the token where it is: (B, S, m, F*D)
+    rows = ad.constant(np.where(at, 0.0, list_flat[:, None]))
+    token = ad.mul(ad.reshape(gp.ps["mask.token"], (fd,)), at)
+    return self_attention_pool(ad.add(rows, token),
+                               gp.ps["mask.q"], gp.ps["mask.k"], gp.ps["mask.v"])
 
 
 def candidate_logits(cand_flat: Tensor, e_mask: Tensor, e_user: Tensor,
-                     position: int, gp: GeneratorParams,
+                     slots: np.ndarray, gp: GeneratorParams,
                      blocked: np.ndarray | None = None) -> Tensor:
-    """Score every candidate for one slot: (B, n) raw logits.
+    """Score every candidate for each slot of `slots` (B, S): (B, S, n) raw
+    logits.
 
-    cand_flat is (B, n, F*D). `blocked` marks candidates that may not be
-    chosen (already placed at another slot when substitution moves exist);
-    their logits are pushed to -1e30.
+    cand_flat is (B, n, F*D) and e_mask (B, S, D). `blocked` (B, S, n) marks
+    candidates that may not be chosen (already placed at another slot when
+    substitution moves exist); their logits are pushed to -1e30.
     """
-    b, n = cand_flat.shape[0], cand_flat.shape[1]
-    d = gp.dims.embed_dim
-    pe_row = ad.slice_axis(gp.ps["pos"], 0, position, position + 1)      # (1, D)
-    pe = ad.broadcast_to(ad.expand_dims(pe_row, 0), (b, n, d))
-    cand_repr = ad.relu(ad.affine(ad.concat([cand_flat, pe], axis=-1),
+    b, n, fd = cand_flat.shape
+    s, d = slots.shape[1], gp.dims.embed_dim
+    pe = ad.broadcast_to(ad.expand_dims(ad.embed_lookup(gp.ps["pos"], slots), 2), (b, s, n, d))
+    cands = ad.broadcast_to(ad.expand_dims(cand_flat, 1), (b, s, n, fd))
+    cand_repr = ad.relu(ad.affine(ad.concat([cands, pe], axis=-1),
                                   gp.ps["cand.w"], gp.ps["cand.b"]))
-    z = ad.concat([cand_repr, _tile_vector(e_mask, n), _tile_vector(e_user, n), pe], axis=-1)
-    logits = ad.reshape(ad.affine(z, gp.ps["cru.w"], gp.ps["cru.b"]), (b, n))
+    z = ad.concat([cand_repr, ad.broadcast_to(ad.expand_dims(e_mask, 2), (b, s, n, d)),
+                   ad.broadcast_to(ad.reshape(e_user, (b, 1, 1, d)), (b, s, n, d)), pe], axis=-1)
+    logits = ad.reshape(ad.affine(z, gp.ps["cru.w"], gp.ps["cru.b"]), (b, s, n))
     if blocked is not None and blocked.any():
         logits = ad.add(logits, ad.constant(np.where(blocked, _MASKED, 0.0)))
     return logits
 
 
-def blocked_candidates(list_idx: np.ndarray, position, num_candidates: int) -> np.ndarray | None:
-    """Mask of candidates already placed at other slots, or None in swap mode.
+def blocked_candidates(lists: np.ndarray, slots: np.ndarray, n: int) -> np.ndarray | None:
+    """Mask (B, S, n) of the candidates placed at slots other than each of
+    `slots` (B, S) in the (B, m) lists, or None in swap mode.
 
     With an all-in-list pool (n == m) nothing is blocked: choosing an item
     from another slot performs an exchange instead of creating a duplicate.
     """
-    list_idx = np.atleast_2d(list_idx)
-    b, m = list_idx.shape
-    if num_candidates <= m:
+    b, m = lists.shape
+    if n <= m:
         return None
-    blocked = np.zeros((b, num_candidates), dtype=bool)
-    rows = np.arange(b)
-    blocked[rows[:, None], list_idx] = True
-    blocked[rows, list_idx[rows, position]] = False
-    return blocked
+    rows = np.arange(b)[:, None]
+    in_list = np.zeros((b, 1, n), dtype=bool)
+    in_list[rows, 0, lists] = True
+    return in_list & (lists[rows, slots][..., None] != np.arange(n))
 
 
 def apply_move(list_idx, position, candidate):
@@ -240,9 +243,9 @@ def generate_batch(initial: np.ndarray, cand_ids: np.ndarray, e_user: np.ndarray
                    ) -> tuple[list[tuple[int, ...]], list[GenerationTrace]]:
     """Edit B lists, (B, m) candidate indices into (B, n, F) pools, until a
     stop rule fires for each: low confidence, then the same item, then max
-    steps. Rows still walking step together; rows that chose the same slot
-    share one candidate-head pass. Returns each row's final list and trace,
-    which do not depend on the other rows."""
+    steps. Rows still walking step together, and one candidate-head call
+    scores each picked row's chosen slot. Returns each row's final list and
+    trace, which do not depend on the other rows."""
     cfg = cfg.resolved(gp.dims)
     cur = np.array(initial, dtype=np.int64)
     if np.count_nonzero(cur[:, :, None] == cur[:, None, :]) != cur.size:
@@ -261,14 +264,14 @@ def generate_batch(initial: np.ndarray, cand_ids: np.ndarray, e_user: np.ndarray
             picked = p_max >= cfg.theta_p
             ks = np.zeros(len(active), dtype=np.int64)
             c_max = np.full(len(active), np.nan)      # stays NaN where no slot was picked
-            for j in sorted(set(slots[picked].tolist())):
-                sel = picked & (slots == j)
-                rows = active[sel]
-                e_mask = masked_list_encoding(ad.constant(flat.value[sel]), j, gp)
-                g = candidate_logits(ad.constant(cand_flat[rows]), e_mask, ad.constant(e_user[rows]),
-                                     j, gp, blocked_candidates(cur[rows], j, cand_ids.shape[1]))
+            if picked.any():
+                rows, chosen = active[picked], slots[picked, None]
+                e_mask = masked_list_encoding(flat.value[picked], chosen, gp)
+                blocked = blocked_candidates(cur[rows], chosen, cand_ids.shape[1])
+                g = candidate_logits(ad.constant(cand_flat[rows]), e_mask,
+                                     ad.constant(e_user[rows]), chosen, gp, blocked)
                 soft_c, hard_c = gumbel_sample(g, cfg)
-                ks[sel], c_max[sel] = hard_c, soft_c.value.max(axis=1)
+                ks[picked], c_max[picked] = hard_c[:, 0], soft_c.value[:, 0].max(axis=1)
             sure = c_max >= cfg.theta_c
             moved = sure & (ks != cur[active, slots])
             for r, j, k, rp, rc, p_ok, c_ok, mv in zip(

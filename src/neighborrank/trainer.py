@@ -142,25 +142,20 @@ def build_neighbors(list_idx, num_candidates: int, beta: float, rng: RngStream
     return positions[0], cands[0], lists[0]
 
 
-def counterfactual_reward_loss(position_weights: np.ndarray, soft_c: list[Tensor],
+def counterfactual_reward_loss(position_weights: np.ndarray, soft_c: Tensor,
                                rewards: np.ndarray) -> Tensor:
     """Negative expected relative reward of one edit.
 
     position_weights (B, m) are the sampled position probabilities entering
     as constants: the slot choice is where the auxiliary loss steers, so this
-    term trains only the candidate distributions. rewards is (B, m, n), zero
-    at unsampled edits. At one-hot distributions the value equals minus the
-    sampled edit's reward, and it scales linearly with the rewards.
+    term trains only the candidate distributions soft_c (B, m, n). rewards is
+    (B, m, n), zero at unsampled edits. At one-hot distributions the value
+    equals minus the sampled edit's reward, and it scales linearly with the
+    rewards.
     """
-    position_weights = np.asarray(position_weights, dtype=np.float64)
-    b, m = position_weights.shape
-    total = None
-    for j in range(m):
-        r_j = ad.constant(rewards[:, j, :])
-        inner = ad.reduce_sum(ad.mul(soft_c[j], r_j), axis=1)             # (B,)
-        term = ad.mul(ad.constant(position_weights[:, j]), inner)
-        total = term if total is None else ad.add(total, term)
-    return ad.neg(ad.reduce_mean(total, axis=0))
+    weights = np.asarray(position_weights, dtype=np.float64)[..., None]
+    expected = ad.reduce_sum(ad.mul(soft_c, ad.constant(weights * rewards)), axis=(1, 2))
+    return ad.neg(ad.reduce_mean(expected, axis=0))
 
 
 def normalized_positive(rewards: np.ndarray) -> np.ndarray:
@@ -198,6 +193,7 @@ class _TrainCache:
         self.exposed_idx = np.stack([r.exposed for r in records])              # (N, m)
         self.cand_ids = np.stack([r.candidate_ids for r in records])           # (N, n, F)
         self.e_user = user_vectors(records, ev)                                # (N, D)
+        exposed_ids = np.take_along_axis(self.cand_ids, self.exposed_idx[..., None], axis=1)
         with ad.no_grad():
             self.cand_flat = np.empty((self.n_records, dims.num_candidates, dims.flat_dim))
             self.list_flat = np.empty((self.n_records, dims.list_size, dims.flat_dim))
@@ -207,14 +203,11 @@ class _TrainCache:
                 blk = slice(s, min(s + batch, self.n_records))
                 size = blk.stop - blk.start
                 self.cand_flat[blk] = flatten_items(self.cand_ids[blk], ev).value
-                exposed_ids = np.take_along_axis(
-                    self.cand_ids[blk], self.exposed_idx[blk][..., None], axis=1)
-                x = embed_lists(exposed_ids, ev)
+                x = embed_lists(exposed_ids[blk], ev)
                 _, e_list = list_attention(x, ev)
                 self.list_flat[blk] = x.value.reshape(size, dims.list_size, dims.flat_dim)
                 self.e_list[blk] = e_list.value
-        self.exposed_pctr, self.exposed_pcvr = scores_for_lists(
-            np.stack([r.exposed_ids for r in records]), self.e_user, ev)
+        self.exposed_pctr, self.exposed_pcvr = scores_for_lists(exposed_ids, self.e_user, ev)
 
 
 def train_generator(train_records: list[InteractionRecord],
@@ -330,7 +323,7 @@ def _batch_rewards(cache: _TrainCache, baseline: np.ndarray, idx: np.ndarray,
 def _batch_forward(cache: _TrainCache, idx: np.ndarray, gp: GeneratorParams,
                    gcfg: GumbelConfig, pdu_noise: np.ndarray, cru_noise: np.ndarray):
     """Sampled position probabilities, the clean position policy and the
-    per-slot candidate distributions.
+    candidate distributions of every slot, (B, m, n) from one graph.
 
     The sampled (noisy, tempered) position probabilities are returned as
     values: they weight the main loss. The clean softmax over position logits
@@ -339,19 +332,17 @@ def _batch_forward(cache: _TrainCache, idx: np.ndarray, gp: GeneratorParams,
     """
     dims = gp.dims
     m, n = dims.list_size, dims.num_candidates
-    list_flat = ad.constant(cache.list_flat[idx])
+    list_flat = cache.list_flat[idx]
     cand_flat = ad.constant(cache.cand_flat[idx])
     e_list = ad.constant(cache.e_list[idx])
     e_user = ad.constant(cache.e_user[idx])
 
-    h = position_logits(list_flat, e_list, e_user, gp)
+    h = position_logits(ad.constant(list_flat), e_list, e_user, gp)
     soft_p, _ = gumbel_sample(h, gcfg, noise=pdu_noise)
     policy_p = ad.softmax_rows(h)
-    soft_c = []
-    for j in range(m):
-        e_mask = masked_list_encoding(list_flat, j, gp)
-        blocked = blocked_candidates(cache.exposed_idx[idx], j, n)
-        g = candidate_logits(cand_flat, e_mask, e_user, j, gp, blocked)
-        soft, _ = gumbel_sample(g, gcfg, noise=cru_noise[:, j, :])
-        soft_c.append(soft)
+    slots = np.broadcast_to(np.arange(m), (len(idx), m))
+    e_mask = masked_list_encoding(list_flat, slots, gp)
+    blocked = blocked_candidates(cache.exposed_idx[idx], slots, n)
+    soft_c, _ = gumbel_sample(candidate_logits(cand_flat, e_mask, e_user, slots, gp, blocked),
+                              gcfg, noise=cru_noise)
     return soft_p.value, policy_p, soft_c

@@ -93,7 +93,8 @@ class TestCriterion1Gradients:
             e_user_v = rng.split("eu").normal((2, dims.embed_dim))
             rewards = rng.split("rw").normal((2, m, n)) * 0.1
             pos_rewards = rng.split("pr").normal((2, m))
-            cru_noise = rng.split("cn").gumbel((m, 2, n))
+            cru_noise = rng.split("cn").gumbel((2, m, n))
+            lists = np.stack([rng.split("ls", i).choice(n, m) for i in range(2)])
             gcfg = GumbelConfig(tau=0.8, noise=True)
             with ad.no_grad():
                 from neighborrank.generator import position_logits
@@ -103,19 +104,20 @@ class TestCriterion1Gradients:
 
             def gen_loss():
                 from neighborrank.generator import (
+                    blocked_candidates,
                     candidate_logits,
                     masked_list_encoding,
                     position_logits,
                 )
-                lf = ad.constant(cache_flat)
-                soft_c = []
-                for j in range(m):
-                    e_mask = masked_list_encoding(lf, j, gp)
-                    g = candidate_logits(ad.constant(cand_flat), e_mask,
-                                         ad.constant(e_user_v), j, gp)
-                    soft_c.append(gumbel_sample(g, gcfg, noise=cru_noise[j])[0])
+                # the single all-slot call of trainer._batch_forward
+                slots = np.broadcast_to(np.arange(m), (2, m))
+                e_mask = masked_list_encoding(cache_flat, slots, gp)
+                g = candidate_logits(ad.constant(cand_flat), e_mask, ad.constant(e_user_v),
+                                     slots, gp, blocked_candidates(lists, slots, n))
+                soft_c = gumbel_sample(g, gcfg, noise=cru_noise)[0]
                 main_term = tr.counterfactual_reward_loss(weights, soft_c, rewards)
-                h = position_logits(lf, ad.constant(e_list), ad.constant(e_user_v), gp)
+                h = position_logits(ad.constant(cache_flat), ad.constant(e_list),
+                                    ad.constant(e_user_v), gp)
                 aux = tr.position_guidance_loss(ad.softmax_rows(h), pos_rewards)
                 return ad.add(main_term, ad.scale(aux, 0.2))
 

@@ -230,7 +230,7 @@ PRIMITIVE_CASES = [
     ("mean_axis", lambda t: ad.reduce_sum(ad.reduce_mean(t[0], axis=1), axis=None), [(3, 5)]),
     ("concat", lambda t: ad.reduce_sum(ad.mul(ad.concat([t[0], t[1]], axis=-1), 1.5), axis=None), [(2, 3), (2, 2)]),
     ("slice", lambda t: ad.reduce_sum(ad.slice_axis(t[0], 1, 1, 3), axis=None), [(3, 4)]),
-    ("exp_log", lambda t: ad.reduce_sum(ad.log(ad.add(ad.exp(t[0]), 1.0)), axis=None), [(3, 3)]),
+    ("log", lambda t: ad.reduce_sum(ad.log(ad.add(ad.mul(t[0], t[0]), 1.0)), axis=None), [(3, 3)]),
     ("broadcast", lambda t: ad.reduce_sum(ad.mul(ad.broadcast_to(ad.expand_dims(t[0], 0), (4, 2, 3)), 0.7), axis=None), [(2, 3)]),
     ("transpose", lambda t: ad.reduce_sum(ad.matmul(t[0], ad.transpose_last2(t[0])), axis=None), [(3, 4)]),
 ]

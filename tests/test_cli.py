@@ -151,6 +151,14 @@ class TestExitCodes:
         path.write_text(json.dumps({"version": 1, "data": {"wat": 1}}))
         assert main(["gen-data", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("fraction", [1.5, 0, -0.5])
+    def test_train_fraction_outside_unit_interval_is_3(self, tmp_path, capsys, fraction):
+        cfg_path, out = write_config(tmp_path, "fraction", data={"train_fraction": fraction})
+        assert main(["gen-data", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "train_fraction" in err
+        assert not out.exists()
+
     def test_training_that_changes_nothing_is_1(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, "stalled")
         assert main(["gen-data", "--config", str(cfg_path)]) == 0

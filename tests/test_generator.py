@@ -111,8 +111,8 @@ class TestMaskedEncoding:
         flat_a = rng.normal((1, dims.list_size, dims.flat_dim))
         flat_b = flat_a.copy()
         flat_b[0, 1] = rng.normal((dims.flat_dim,))  # only the masked row differs
-        a = gen.masked_list_encoding(ad.constant(flat_a), 1, gp).value
-        b = gen.masked_list_encoding(ad.constant(flat_b), 1, gp).value
+        a = gen.masked_list_encoding(flat_a, np.array([[1]]), gp).value
+        b = gen.masked_list_encoding(flat_b, np.array([[1]]), gp).value
         assert np.array_equal(a, b)
 
     def test_different_positions_differ(self):
@@ -122,31 +122,35 @@ class TestMaskedEncoding:
         for name in ("mask.q", "mask.k", "mask.v", "mask.token"):
             gp.ps[name].value = scales.split(name).normal(gp.ps[name].value.shape) * 0.5
         dims = gp.dims
-        flat = ad.constant(RngStream(9).normal((1, dims.list_size, dims.flat_dim)))
-        a = gen.masked_list_encoding(flat, 0, gp).value
-        b = gen.masked_list_encoding(flat, 2, gp).value
-        assert not np.allclose(a, b)
+        flat = RngStream(9).normal((1, dims.list_size, dims.flat_dim))
+        got = gen.masked_list_encoding(flat, np.array([[0, 2]]), gp).value
+        assert got.shape == (1, 2, dims.embed_dim)
+        assert not np.allclose(got[0, 0], got[0, 1])
 
     def test_matches_hand_oracle(self):
         gp = make_generator(seed=21)
         dims = gp.dims
-        flat = RngStream(22).normal((1, dims.list_size, dims.flat_dim))
-        j = 1
-        got = gen.masked_list_encoding(ad.constant(flat), j, gp).value
-        rows = flat.copy()
-        rows[0, j] = gp.ps["mask.token"].value.reshape(-1)
-        q = rows @ gp.ps["mask.q"].value
-        k = rows @ gp.ps["mask.k"].value
-        v = rows @ gp.ps["mask.v"].value
-        att = numpy_softmax(q @ np.swapaxes(k, -1, -2) / math.sqrt(dims.embed_dim))
-        ref = (att @ v).mean(axis=1)
-        assert np.max(np.abs(got - ref)) < 1e-12
+        flat = RngStream(22).normal((2, dims.list_size, dims.flat_dim))
+        slots = np.array([[1, 0, 1], [2, 2, 0]])   # per-row slots, one repeated
+        got = gen.masked_list_encoding(flat, slots, gp).value
+        assert got.shape == (2, 3, dims.embed_dim)
+        for b in range(2):
+            for s, j in enumerate(slots[b]):
+                rows = flat[b].copy()
+                rows[j] = gp.ps["mask.token"].value.reshape(-1)
+                q = rows @ gp.ps["mask.q"].value
+                k = rows @ gp.ps["mask.k"].value
+                v = rows @ gp.ps["mask.v"].value
+                att = numpy_softmax(q @ k.T / math.sqrt(dims.embed_dim))
+                ref = (att @ v).mean(axis=0)
+                assert np.max(np.abs(got[b, s] - ref)) < 1e-12
 
     def test_position_bounds(self):
         gp = make_generator()
-        flat = ad.constant(np.zeros((1, 3, gp.dims.flat_dim)))
-        with pytest.raises(ValueError):
-            gen.masked_list_encoding(flat, 3, gp)
+        flat = np.zeros((1, 3, gp.dims.flat_dim))
+        for bad in (3, -1):
+            with pytest.raises(ValueError):
+                gen.masked_list_encoding(flat, np.array([[0, bad]]), gp)
 
 
 class TestCandidateLogits:
@@ -156,50 +160,59 @@ class TestCandidateLogits:
         rng = RngStream(14)
         cand = rng.normal((1, dims.num_candidates, dims.flat_dim))
         cand[0, 3] = cand[0, 1]  # duplicate item content
-        e_mask = ad.constant(rng.normal((1, dims.embed_dim)))
+        e_mask = ad.constant(rng.normal((1, 1, dims.embed_dim)))
         e_user = ad.constant(rng.normal((1, dims.embed_dim)))
-        g = gen.candidate_logits(ad.constant(cand), e_mask, e_user, 0, gp)
-        assert g.shape == (1, dims.num_candidates)
-        assert g.value[0, 3] == pytest.approx(g.value[0, 1], abs=1e-12)
+        g = gen.candidate_logits(ad.constant(cand), e_mask, e_user, np.array([[0]]), gp)
+        assert g.shape == (1, 1, dims.num_candidates)
+        assert g.value[0, 0, 3] == pytest.approx(g.value[0, 0, 1], abs=1e-12)
 
     def test_matches_hand_oracle(self):
         gp = make_generator(seed=33)
         dims = gp.dims
         rng = RngStream(34)
-        cand = rng.normal((1, dims.num_candidates, dims.flat_dim))
-        e_mask = rng.normal((1, dims.embed_dim))
-        e_user = rng.normal((1, dims.embed_dim))
-        j = 2
+        cand = rng.normal((2, dims.num_candidates, dims.flat_dim))
+        e_mask = rng.normal((2, 3, dims.embed_dim))
+        e_user = rng.normal((2, dims.embed_dim))
+        slots = np.array([[2, 0, 2], [1, 1, 0]])   # per-row slots, one repeated
         got = gen.candidate_logits(ad.constant(cand), ad.constant(e_mask),
-                                   ad.constant(e_user), j, gp).value
-        pe = gp.ps["pos"].value[j]
-        for k in range(dims.num_candidates):
-            rep = np.concatenate([cand[0, k], pe]) @ gp.ps["cand.w"].value + gp.ps["cand.b"].value
-            rep = np.maximum(rep, 0.0)
-            z = np.concatenate([rep, e_mask[0], e_user[0], pe])
-            ref = z @ gp.ps["cru.w"].value + gp.ps["cru.b"].value
-            assert abs(got[0, k] - ref[0]) < 1e-12
+                                   ad.constant(e_user), slots, gp).value
+        assert got.shape == (2, 3, dims.num_candidates)
+        for b in range(2):
+            for s, j in enumerate(slots[b]):
+                pe = gp.ps["pos"].value[j]
+                for k in range(dims.num_candidates):
+                    rep = (np.concatenate([cand[b, k], pe]) @ gp.ps["cand.w"].value
+                           + gp.ps["cand.b"].value)
+                    rep = np.maximum(rep, 0.0)
+                    z = np.concatenate([rep, e_mask[b, s], e_user[b], pe])
+                    ref = z @ gp.ps["cru.w"].value + gp.ps["cru.b"].value
+                    assert abs(got[b, s, k] - ref[0]) < 1e-12
 
     def test_blocked_candidates_masked_out(self):
         gp = make_generator()
         dims = gp.dims
         rng = RngStream(35)
         cand = ad.constant(rng.normal((1, dims.num_candidates, dims.flat_dim)))
-        e_mask = ad.constant(rng.normal((1, dims.embed_dim)))
+        e_mask = ad.constant(rng.normal((1, 1, dims.embed_dim)))
         e_user = ad.constant(rng.normal((1, dims.embed_dim)))
-        blocked = np.array([[False, True, False, True, False]])
-        g = gen.candidate_logits(cand, e_mask, e_user, 0, gp, blocked)
+        blocked = np.array([[[False, True, False, True, False]]])
+        g = gen.candidate_logits(cand, e_mask, e_user, np.array([[0]]), gp, blocked)
         soft, hard = gen.gumbel_sample(g, gen.GumbelConfig(noise=False))
-        assert soft.value[0, 1] < 1e-12 and soft.value[0, 3] < 1e-12
+        assert soft.value[0, 0, 1] < 1e-12 and soft.value[0, 0, 3] < 1e-12
 
 
 class TestBlockedCandidates:
     def test_swap_mode_blocks_nothing(self):
-        assert gen.blocked_candidates(np.array([[0, 1, 2]]), 1, 3) is None
+        assert gen.blocked_candidates(np.array([[0, 1, 2]]), np.array([[1, 0]]), 3) is None
 
     def test_substitution_mode_blocks_other_slots(self):
-        blocked = gen.blocked_candidates(np.array([[0, 2, 4]]), 1, 6)
-        assert blocked.tolist() == [[True, False, False, False, True, False]]
+        lists = np.array([[0, 2, 4], [5, 1, 3]])
+        blocked = gen.blocked_candidates(lists, np.array([[1, 0], [2, 2]]), 6)
+        assert blocked.shape == (2, 2, 6)
+        assert blocked.tolist() == [
+            [[True, False, False, False, True, False], [False, False, True, False, True, False]],
+            [[False, True, False, False, False, True], [False, True, False, False, False, True]],
+        ]
 
 
 class TestApplyMove:
@@ -287,12 +300,13 @@ def reference_generate(initial_idx, candidate_ids, e_user, gp, cfg):
                 trace.steps.append(gen.TraceStep(step, j, None, p_max, None, False,
                                                  "low-confidence"))
                 break
-            e_mask = gen.masked_list_encoding(flat, j, gp)
-            blocked = gen.blocked_candidates(np.array([cur]), j, n)
-            g = gen.candidate_logits(cand_flat, e_mask, e_user_t, j, gp, blocked)
+            slot = np.array([[j]])
+            e_mask = gen.masked_list_encoding(flat.value, slot, gp)
+            blocked = gen.blocked_candidates(np.array([cur]), slot, n)
+            g = gen.candidate_logits(cand_flat, e_mask, e_user_t, slot, gp, blocked)
             soft_c, hard_c = gen.gumbel_sample(g, cfg)
-            k = int(hard_c[0])
-            c_max = float(soft_c.value[0].max())
+            k = int(hard_c[0, 0])
+            c_max = float(soft_c.value[0, 0].max())
             if c_max < cfg.theta_c:
                 trace.steps.append(gen.TraceStep(step, j, k, p_max, c_max, False,
                                                  "low-confidence"))

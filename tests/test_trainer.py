@@ -5,6 +5,7 @@ import pytest
 
 from neighborrank import autodiff as ad
 from neighborrank import evaluator as ev
+from neighborrank import generator as gen
 from neighborrank import trainer as tr
 from neighborrank.config import TrainingSection
 from neighborrank.datagen import DataConfig, generate_records
@@ -171,8 +172,8 @@ class TestBuildNeighbors:
             assert fast.counter == ref.counter
 
 
-def uniform_soft(b, k):
-    return ad.softmax_rows(ad.constant(np.zeros((b, k))))
+def uniform_soft(*shape):
+    return ad.softmax_rows(ad.constant(np.zeros(shape)))
 
 
 def uniform_weights(b, k):
@@ -181,20 +182,19 @@ def uniform_weights(b, k):
 
 class TestMainLoss:
     def test_zero_rewards_zero_loss(self):
-        soft_c = [uniform_soft(2, 4) for _ in range(3)]
+        soft_c = uniform_soft(2, 3, 4)
         loss = tr.counterfactual_reward_loss(uniform_weights(2, 3), soft_c, np.zeros((2, 3, 4)))
         assert loss.item() == 0.0
 
     def test_symmetric_rewards_cancel(self):
-        soft_c = [uniform_soft(1, 2)]
+        soft_c = uniform_soft(1, 1, 2)
         rewards = np.array([[[1.0, -1.0]]])
         loss = tr.counterfactual_reward_loss(np.array([[1.0]]), soft_c, rewards)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_one_hot_value_equals_negative_reward(self):
         weights = np.array([[1.0, 0.0]])
-        soft_c = [ad.softmax_rows(ad.constant(np.array([[0.0, 50.0]]))),
-                  uniform_soft(1, 2)]
+        soft_c = ad.softmax_rows(ad.constant(np.array([[[0.0, 50.0], [0.0, 0.0]]])))
         rewards = np.zeros((1, 2, 2))
         rewards[0, 0, 1] = 0.7
         loss = tr.counterfactual_reward_loss(weights, soft_c, rewards)
@@ -203,7 +203,7 @@ class TestMainLoss:
     def test_scaling_rewards_scales_loss(self):
         rng = RngStream(11)
         weights = np.abs(rng.normal((2, 3)))
-        soft_c = [ad.softmax_rows(ad.constant(rng.normal((2, 4)))) for _ in range(3)]
+        soft_c = ad.softmax_rows(ad.constant(rng.normal((2, 3, 4))))
         rewards = rng.normal((2, 3, 4))
         l1 = tr.counterfactual_reward_loss(weights, soft_c, rewards).item()
         l2 = tr.counterfactual_reward_loss(weights, soft_c, 3.5 * rewards).item()
@@ -215,46 +215,46 @@ class TestMainLoss:
         # carries the position head's gradient
         rng = RngStream(12)
         z_p = ad.param(rng.normal((2, 3)))
-        z_c = [ad.param(rng.normal((2, 4))) for _ in range(3)]
+        z_c = ad.param(rng.normal((2, 3, 4)))
         rewards = rng.normal((2, 3, 4))
         pos_rewards = rng.normal((2, 3))
-        noise_c = [rng.gumbel((2, 4)) for _ in range(3)]
+        noise_c = rng.gumbel((2, 3, 4))
         cfg = GumbelConfig(tau=0.8, noise=True)
         with ad.no_grad():
             weights = gumbel_sample(ad.constant(z_p.value), cfg, noise=rng.gumbel((2, 3)))[0].value
 
         def build():
-            soft_c = [gumbel_sample(z, cfg, noise=nc)[0] for z, nc in zip(z_c, noise_c)]
+            soft_c = gumbel_sample(z_c, cfg, noise=noise_c)[0]
             main = tr.counterfactual_reward_loss(weights, soft_c, rewards)
             aux = tr.position_guidance_loss(ad.softmax_rows(z_p), pos_rewards)
             return ad.add(main, ad.scale(aux, 0.2))
 
-        err = ad.grad_check(build, [z_p, *z_c], h=1e-5)
+        err = ad.grad_check(build, [z_p, z_c], h=1e-5)
         assert err < 1e-4
 
     def test_moving_mass_toward_reward_lowers_loss(self):
         rewards = np.zeros((1, 2, 2))
         rewards[0, 0, 0] = 1.0   # only edit (slot 0, candidate 0) helps
-        soft_c = [uniform_soft(1, 2), uniform_soft(1, 2)]
+        soft_c = uniform_soft(1, 2, 2)
         l_weak = tr.counterfactual_reward_loss(np.array([[0.5, 0.5]]), soft_c, rewards).item()
         l_strong = tr.counterfactual_reward_loss(np.array([[0.9, 0.1]]), soft_c, rewards).item()
         assert l_strong < l_weak
 
     def test_candidate_gradient_direction(self):
         # pushing candidate logits toward the rewarded edit must be downhill
-        z = ad.param(np.zeros((1, 3)))
+        z = ad.param(np.zeros((1, 1, 3)))
         rewards = np.zeros((1, 1, 3))
         rewards[0, 0, 1] = 1.0
         cfg = GumbelConfig(tau=1.0, noise=False)
 
         def build():
-            soft_c = [gumbel_sample(z, cfg)[0]]
+            soft_c = gumbel_sample(z, cfg)[0]
             return tr.counterfactual_reward_loss(np.array([[1.0]]), soft_c, rewards)
 
         loss = build()
         loss.backward()
-        assert z.grad[0, 1] < 0  # increasing the rewarded logit lowers loss
-        assert z.grad[0, 0] > 0
+        assert z.grad[0, 0, 1] < 0  # increasing the rewarded logit lowers loss
+        assert z.grad[0, 0, 0] > 0
 
 
 class TestGuidanceLoss:
@@ -349,13 +349,13 @@ class TestTrainGenerator:
         rng = RngStream(13)
         b, m, n = 4, 3, 5
         weights = np.abs(rng.normal((b, m)))
-        z_c = rng.normal((m, b, n))
+        z_c = rng.normal((b, m, n))
         rewards = rng.normal((b, m, n))
         pos_rewards = rng.normal((b, m))
         cfg = GumbelConfig(tau=1.0, noise=False)
 
         def loss_for(rows):
-            soft_c = [gumbel_sample(ad.constant(z_c[j][rows]), cfg)[0] for j in range(m)]
+            soft_c = gumbel_sample(ad.constant(z_c[rows]), cfg)[0]
             main = tr.counterfactual_reward_loss(weights[rows], soft_c, rewards[rows]).item()
             aux = tr.position_guidance_loss(uniform_soft(len(rows), m), pos_rewards[rows]).item()
             return main + 0.2 * aux
@@ -407,3 +407,115 @@ def test_batch_rewards_match_per_record_loop(beta, n_candidates):
         got, want = tr._batch_rewards(*args), ref_batch_rewards(*args)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.count_nonzero(got[0]) > 0
+
+
+# Test-only copies of the per-slot generator heads, forward loop and m-term
+# loss that the one-graph _batch_forward and counterfactual_reward_loss
+# replaced; the new path must match them at rounding level.
+def ref_masked_list_encoding(list_flat, position, gp):
+    b, m, fd = list_flat.shape
+    token = ad.broadcast_to(ad.reshape(gp.ps["mask.token"], (1, 1, fd)), (b, 1, fd))
+    rows = []
+    if position > 0:
+        rows.append(ad.slice_axis(list_flat, 1, 0, position))
+    rows.append(token)
+    if position < m - 1:
+        rows.append(ad.slice_axis(list_flat, 1, position + 1, m))
+    return ev.self_attention_pool(ad.concat(rows, axis=1),
+                                  gp.ps["mask.q"], gp.ps["mask.k"], gp.ps["mask.v"])
+
+
+def ref_candidate_logits(cand_flat, e_mask, e_user, position, gp, blocked):
+    b, n = cand_flat.shape[0], cand_flat.shape[1]
+    pe_row = ad.slice_axis(gp.ps["pos"], 0, position, position + 1)
+    pe = ad.broadcast_to(ad.expand_dims(pe_row, 0), (b, n, gp.dims.embed_dim))
+    cand_repr = ad.relu(ad.affine(ad.concat([cand_flat, pe], axis=-1),
+                                  gp.ps["cand.w"], gp.ps["cand.b"]))
+    z = ad.concat([cand_repr, ev._tile_vector(e_mask, n), ev._tile_vector(e_user, n), pe],
+                  axis=-1)
+    logits = ad.reshape(ad.affine(z, gp.ps["cru.w"], gp.ps["cru.b"]), (b, n))
+    if blocked is not None and blocked.any():
+        logits = ad.add(logits, ad.constant(np.where(blocked, -1e30, 0.0)))
+    return logits
+
+
+def ref_blocked_candidates(lists, position, n):
+    b, m = lists.shape
+    if n <= m:
+        return None
+    blocked = np.zeros((b, n), dtype=bool)
+    rows = np.arange(b)
+    blocked[rows[:, None], lists] = True
+    blocked[rows, lists[rows, position]] = False
+    return blocked
+
+
+def ref_batch_forward(cache, idx, gp, gcfg, pdu_noise, cru_noise):
+    """The per-slot loop: one candidate-head graph per slot, a list of (B, n)."""
+    m, n = gp.dims.list_size, gp.dims.num_candidates
+    list_flat = ad.constant(cache.list_flat[idx])
+    cand_flat = ad.constant(cache.cand_flat[idx])
+    e_user = ad.constant(cache.e_user[idx])
+    h = gen.position_logits(list_flat, ad.constant(cache.e_list[idx]), e_user, gp)
+    soft_p, _ = gumbel_sample(h, gcfg, noise=pdu_noise)
+    soft_c = []
+    for j in range(m):
+        e_mask = ref_masked_list_encoding(list_flat, j, gp)
+        blocked = ref_blocked_candidates(cache.exposed_idx[idx], j, n)
+        g = ref_candidate_logits(cand_flat, e_mask, e_user, j, gp, blocked)
+        soft_c.append(gumbel_sample(g, gcfg, noise=cru_noise[:, j, :])[0])
+    return soft_p.value, ad.softmax_rows(h), soft_c
+
+
+def ref_counterfactual_reward_loss(position_weights, soft_c, rewards):
+    total = None
+    for j, soft in enumerate(soft_c):
+        inner = ad.reduce_sum(ad.mul(soft, ad.constant(rewards[:, j, :])), axis=1)
+        term = ad.mul(ad.constant(position_weights[:, j]), inner)
+        total = term if total is None else ad.add(total, term)
+    return ad.neg(ad.reduce_mean(total, axis=0))
+
+
+@pytest.mark.parametrize("n,m", [(5, 5), (12, 4)])
+def test_one_graph_forward_matches_per_slot_loop(n, m):
+    """Loss and every generator gradient of one training batch equal the
+    per-slot loop's at rounding level, on a swap and a substitution pool."""
+    data = DataConfig(seed=4, num_items=30, num_categories=4, num_brands=5, num_users=20,
+                      history_sessions=2, list_size=m, num_candidates=n, num_records=48)
+    records = generate_records(data)
+    dims = ev.ModelDims(item_vocab=30, cat_vocab=4, brand_vocab=5, list_size=m,
+                        num_candidates=n, history_sessions=2, embed_dim=4, mlp_hidden=(8,))
+    eval_params = ev.EvaluatorParams.init(dims, RngStream(1))
+    weights = RngStream(2)
+    for name, t in eval_params.ps.items():
+        t.value = weights.split("ev", name).normal(t.value.shape) * 0.5
+    eval_params.ps.set_trainable(False)
+    training = TrainingSection(beta=1, seed=6)
+    cache = tr._TrainCache(records, eval_params)
+    reward_cfg = tr.fit_reward_scale(cache.exposed_pctr, cache.exposed_pcvr, training)
+    baseline = tr.list_reward(cache.exposed_pctr, cache.exposed_pcvr, reward_cfg)
+    idx = RngStream(3).permutation(len(records))[:32]
+    rewards, pos_rewards, pdu_noise, cru_noise = tr._batch_rewards(
+        cache, baseline, idx, eval_params, reward_cfg, training, 0)
+    assert np.count_nonzero(rewards) > 0
+    gp = gen.GeneratorParams.init(eval_params, RngStream(5))
+    for name, t in gp.ps.items():
+        t.value = weights.split("gen", name).normal(t.value.shape) * 0.5
+    gcfg = GumbelConfig(tau=0.7, noise=True)
+
+    def run(forward, loss_fn):
+        for t in gp.ps.trainable().values():
+            t.zero_grad()
+        sampled_p, policy_p, soft_c = forward(cache, idx, gp, gcfg, pdu_noise, cru_noise)
+        main = loss_fn(sampled_p, soft_c, rewards)
+        loss = ad.add(main, ad.scale(tr.position_guidance_loss(policy_p, pos_rewards), 0.3))
+        loss.backward()
+        return main.item(), loss.item(), {k: t.grad.copy() for k, t in gp.ps.trainable().items()}
+
+    main, total, grads = run(tr._batch_forward, tr.counterfactual_reward_loss)
+    ref_main, ref_total, ref_grads = run(ref_batch_forward, ref_counterfactual_reward_loss)
+    assert main == pytest.approx(ref_main, rel=1e-12)
+    assert total == pytest.approx(ref_total, rel=1e-12)
+    for name, g in grads.items():
+        assert np.allclose(g, ref_grads[name], rtol=1e-12, atol=1e-12), name
+    assert any(np.abs(g).max() > 1e-3 for g in grads.values())
