@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_write
-from .rng import RngStream
+from .rng import RngStream, StreamRows
 
 SCHEMA_VERSION = 1
 MANIFEST_SUFFIX = ".manifest.json"
@@ -84,13 +84,17 @@ class GroundTruthModel:
         if not (diffs < 0).all():
             raise ValueError("position_bias must be strictly decreasing")
 
+    def affinities(self, users) -> np.ndarray:
+        """(len(users), C) per-category affinity, one stream row per user."""
+        rows = RngStream(self.seed).split_rows("affinity", rows=np.asarray(users))
+        return rows.normal((self.catalog.num_categories,)) * self.affinity_sigma
+
     def affinity(self, user_id: int) -> np.ndarray:
         """Per-category affinity of one user; drawn once, then served read-only."""
         user_id = int(user_id)
         aff = self._affinity_cache.get(user_id)
         if aff is None:
-            stream = RngStream(self.seed).split("affinity", user_id)
-            aff = stream.normal((self.catalog.num_categories,)) * self.affinity_sigma
+            aff = self.affinities([user_id])[0]
             aff.flags.writeable = False
             self._affinity_cache[user_id] = aff
         return aff
@@ -98,24 +102,23 @@ class GroundTruthModel:
     def quality(self, item_ids) -> np.ndarray:
         return self.catalog.quality[np.asarray(item_ids)] * self.quality_scale
 
+    def click_model(self, item_ids: np.ndarray, aff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Click and conversion probabilities at every slot of (R, m) ordered
+        lists, given each row's (R, C) category affinity."""
+        cats = self.catalog.category[item_ids]
+        qual, taste = self.quality(item_ids), np.take_along_axis(aff, cats, axis=-1)
+        # earlier items sharing each slot's category
+        dup = np.tril(cats[..., :, None] == cats[..., None, :], k=-1).sum(axis=-1).astype(np.float64)
+        logits = qual + taste + self.position_bias[: item_ids.shape[-1]] - self.cannibalization * dup
+        z = self.conversion_intercept + self.conversion_scale * (qual + taste)
+        return 0.5 * (1.0 + np.tanh(0.5 * logits)), 0.5 * (1.0 + np.tanh(0.5 * z))
+
     def list_click_probs(self, item_ids, user_id: int) -> np.ndarray:
         """Click probability at every position of an ordered list."""
-        item_ids = np.asarray(item_ids)
-        cats = self.catalog.category[item_ids]
-        aff = self.affinity(user_id)[cats]
-        qual = self.quality(item_ids)
-        m = len(item_ids)
-        # earlier items sharing each slot's category
-        dup = np.tril(cats[:, None] == cats[None, :], k=-1).sum(axis=1).astype(np.float64)
-        logits = qual + aff + self.position_bias[:m] - self.cannibalization * dup
-        return 0.5 * (1.0 + np.tanh(0.5 * logits))
+        return self.click_model(np.asarray(item_ids)[None], self.affinity(user_id)[None])[0][0]
 
     def conversion_prob(self, item_id: int, user_id: int) -> float:
-        cat = int(self.catalog.category[item_id])
-        z = self.conversion_intercept + self.conversion_scale * (
-            float(self.quality([item_id])[0]) + float(self.affinity(user_id)[cat])
-        )
-        return 0.5 * (1.0 + math.tanh(0.5 * z))
+        return float(self.click_model(np.array([[item_id]]), self.affinity(user_id)[None])[1][0, 0])
 
     def expected_clicks(self, item_ids, user_id: int) -> float:
         return float(self.list_click_probs(item_ids, user_id).sum())
@@ -174,6 +177,14 @@ class DataConfig:
             raise ValueError("position_slope must be positive (position bias must decrease)")
         if not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        if not 0 < num_train(self, self.num_records) < self.num_records:
+            raise ValueError(f"train_fraction {self.train_fraction} of {self.num_records} "
+                             "records leaves the train or test split empty")
+
+
+def num_train(cfg: DataConfig, num_records: int) -> int:
+    """Records in the train split: the first floor(train_fraction * count)."""
+    return int(math.floor(cfg.train_fraction * num_records))
 
 
 def ground_truth(cfg: DataConfig, catalog: Catalog | None = None) -> GroundTruthModel:
@@ -191,67 +202,54 @@ def ground_truth(cfg: DataConfig, catalog: Catalog | None = None) -> GroundTruth
     )
 
 
-def _sample_labels(model: GroundTruthModel, item_ids: np.ndarray, user_id: int,
-                   rs: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    probs = model.list_click_probs(item_ids, user_id)
-    clicks = (rs.uniform((len(item_ids),)) < probs).astype(np.int64)
-    clicked = np.flatnonzero(clicks)
-    conv_probs = [model.conversion_prob(int(item_ids[j]), user_id) for j in clicked]
-    convs = np.zeros(len(item_ids), dtype=np.int64)
-    convs[clicked] = rs.uniform((len(clicked),)) < conv_probs
-    return clicks, convs
+def _sample_labels(model: GroundTruthModel, item_ids: np.ndarray, aff: np.ndarray,
+                   rows: StreamRows) -> tuple[np.ndarray, np.ndarray]:
+    """Clicks and conversions of (R, m) shown lists. Row i draws 2m uniforms:
+    slot j clicks on draw j, and the k-th clicked slot converts on draw m + k."""
+    m = item_ids.shape[1]
+    click_p, conv_p = model.click_model(item_ids, aff)
+    u = rows.uniform((2 * m,))
+    clicks = (u[:, :m] < click_p).astype(np.int64)
+    # a clicked slot's cumsum is 1 + the number of clicks before it
+    conv_u = np.take_along_axis(u, m - 1 + np.cumsum(clicks, axis=1), axis=1)
+    return clicks, clicks * (conv_u < conv_p)
 
 
-def _ranked_exposure(model: GroundTruthModel, pool: np.ndarray, user_id: int,
-                     noise: float, m: int, rs: RngStream, personalized: bool) -> np.ndarray:
+def _ranked_exposure(model: GroundTruthModel, pool: np.ndarray, aff: np.ndarray | None,
+                     noise: float, rows: StreamRows) -> np.ndarray:
+    """(R, n) slot order of each pool by noisy score, personalized if aff is given."""
     score = model.quality(pool)
-    if personalized:
-        score += model.affinity(user_id)[model.catalog.category[pool]]
-    score += rs.normal((len(pool),)) * noise
-    order = np.argsort(-score, kind="stable")
-    return pool[order[:m]]
+    if aff is not None:
+        score += np.take_along_axis(aff, model.catalog.category[pool], axis=1)
+    score += rows.normal((pool.shape[1],)) * noise
+    return np.argsort(-score, axis=1, kind="stable")
 
 
 def generate_records(cfg: DataConfig, model: GroundTruthModel | None = None) -> list[InteractionRecord]:
+    """Simulate all records in lockstep: row i draws from the stream
+    RngStream(seed).split("records").split(i)."""
     model = model or ground_truth(cfg)
-    cat = model.catalog
-    root = RngStream(cfg.seed).split("records")
-    records = []
-    for i in range(cfg.num_records):
-        rs = root.split(i)
-        user_id = rs.split("user").integers(0, cfg.num_users)
+    cat, m = model.catalog, cfg.list_size
+    rows = RngStream(cfg.seed).split("records").split_rows(rows=np.arange(cfg.num_records))
+    u = rows.split("user").uniform((1,))[:, 0]
+    users = np.minimum(np.floor(u * cfg.num_users).astype(np.int64), cfg.num_users - 1)
+    distinct, which = np.unique(users, return_inverse=True)
+    aff = model.affinities(distinct)[which]
 
-        ses_ids = np.zeros((cfg.history_sessions, cfg.list_size, 3), dtype=np.int64)
-        ses_clicks = np.zeros((cfg.history_sessions, cfg.list_size), dtype=np.int64)
-        ses_convs = np.zeros((cfg.history_sessions, cfg.list_size), dtype=np.int64)
-        for h in range(cfg.history_sessions):
-            hs = rs.split("session", h)
-            pool = hs.choice(cat.num_items, cfg.num_candidates)
-            # history exposure was personalized, so session content reflects taste
-            shown = _ranked_exposure(model, pool, user_id, cfg.exposure_noise,
-                                     cfg.list_size, hs.split("rank"), personalized=True)
-            ses_ids[h] = cat.feature_ids(shown)
-            ses_clicks[h], ses_convs[h] = _sample_labels(model, shown, user_id, hs.split("labels"))
+    def session(rs: StreamRows, personalized: bool):
+        pool = rs.permutation(cat.num_items)[:, : cfg.num_candidates]
+        exposed = _ranked_exposure(model, pool, aff if personalized else None,
+                                   cfg.exposure_noise, rs.split("rank"))[:, :m]
+        shown = np.take_along_axis(pool, exposed, axis=1)
+        return (pool, exposed, cat.feature_ids(shown),
+                *_sample_labels(model, shown, aff, rs.split("labels")))
 
-        cs = rs.split("current")
-        pool = cs.choice(cat.num_items, cfg.num_candidates)
-        shown = _ranked_exposure(model, pool, user_id, cfg.exposure_noise,
-                                 cfg.list_size, cs.split("rank"), personalized=False)
-        pool_pos = {int(item): idx for idx, item in enumerate(pool)}
-        exposed = np.array([pool_pos[int(item)] for item in shown], dtype=np.int64)
-        clicks, convs = _sample_labels(model, shown, user_id, cs.split("labels"))
-
-        records.append(InteractionRecord(
-            user_id=int(user_id),
-            session_ids=ses_ids,
-            session_clicks=ses_clicks,
-            session_convs=ses_convs,
-            candidate_ids=cat.feature_ids(pool),
-            exposed=exposed,
-            clicks=clicks,
-            convs=convs,
-        ))
-    return records
+    # history exposure was personalized, so session content reflects taste
+    history = [session(rows.split("session", h), True) for h in range(cfg.history_sessions)]
+    ses_ids, ses_clicks, ses_convs = (np.stack([s[k] for s in history], axis=1) for k in (2, 3, 4))
+    pool, exposed, _, clicks, convs = session(rows.split("current"), False)
+    return [InteractionRecord(*fields) for fields in zip(
+        users.tolist(), ses_ids, ses_clicks, ses_convs, cat.feature_ids(pool), exposed, clicks, convs)]
 
 
 def _record_to_json(rec: InteractionRecord) -> str:
@@ -289,7 +287,7 @@ def write_dataset(records: list[InteractionRecord], cfg: DataConfig, path) -> Pa
     """Write records as JSONL plus a sidecar manifest; returns the data path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    num_train = int(math.floor(cfg.train_fraction * len(records)))
+    train = num_train(cfg, len(records))
     try:
         with atomic_write(path, "w", encoding="utf-8") as fh:
             for rec in records:
@@ -297,8 +295,8 @@ def write_dataset(records: list[InteractionRecord], cfg: DataConfig, path) -> Pa
                 fh.write("\n")
     except OSError as exc:
         raise DatasetError(f"cannot write dataset at {path}: {exc}") from exc
-    manifest = {"version": SCHEMA_VERSION, "num_records": len(records), "num_train": num_train,
-                "num_test": len(records) - num_train,
+    manifest = {"version": SCHEMA_VERSION, "num_records": len(records), "num_train": train,
+                "num_test": len(records) - train,
                 **{key: getattr(cfg, key) for key in ("seed", "list_size", "history_sessions",
                    "num_candidates", "num_items", "num_categories", "num_brands")}}
     with atomic_write(manifest_path(path), "w", encoding="utf-8") as fh:
@@ -310,8 +308,8 @@ def gen_logs(cfg: DataConfig, path) -> tuple[list[InteractionRecord], list[Inter
     """Generate, write and return the (train, test) record split."""
     records = generate_records(cfg)
     write_dataset(records, cfg, path)
-    num_train = int(math.floor(cfg.train_fraction * len(records)))
-    return records[:num_train], records[num_train:]
+    train = num_train(cfg, len(records))
+    return records[:train], records[train:]
 
 
 def _in_range(values, bound: int) -> bool:

@@ -53,6 +53,13 @@ def _unit(raw: np.ndarray) -> np.ndarray:
     return ((raw >> _U64(11)).astype(np.float64) + 0.5) * _INV53
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals along the last axis from paired uniforms."""
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
+
+
 def _size(shape) -> int:
     """Element count of an int or tuple shape."""
     return int(shape) if isinstance(shape, (int, np.integer)) else int(math.prod(shape))
@@ -107,11 +114,7 @@ class RngStream:
         n = 1 if shape is None else _size(shape)
         pairs = (n + 1) // 2
         u1 = self.uniform((pairs,))
-        u2 = self.uniform((pairs,))
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        z = mean + std * z
+        z = mean + std * _box_muller(u1, self.uniform((pairs,)), n)
         if shape is None:
             return float(z[0])
         return z.reshape(shape)
@@ -164,6 +167,13 @@ class StreamRows:
 
     def uniform(self, shape: tuple) -> np.ndarray:
         return _unit(self._raw(math.prod(shape))).reshape(len(self.seeds), *shape)
+
+    def normal(self, shape: tuple) -> np.ndarray:
+        """RngStream.normal per row: u1 then u2, Box-Muller over the flat draw."""
+        n = math.prod(shape)
+        pairs = (n + 1) // 2
+        u1 = self.uniform((pairs,))
+        return _box_muller(u1, self.uniform((pairs,)), n).reshape(len(self.seeds), *shape)
 
     def gumbel(self, shape: tuple) -> np.ndarray:
         return -np.log(-np.log(self.uniform(shape)))

@@ -342,6 +342,23 @@ def test_rows_by_weight_forward_is_batch_invariant(n):
         assert np.array_equal(out[i : i + 1], ad.matmul(ad.constant(x[i : i + 1]), ad.constant(w)).value)
 
 
+# the deep MLP's three layers (48 -> 1024 -> 256 -> 128), widths 32 and 64 at
+# the smallest k that folds, and the default MLP's (48, 64) and (64, 32),
+# which stay one GEMM per list
+@pytest.mark.parametrize("k,n", [(48, 1024), (1024, 256), (256, 128), (128, 64), (256, 32),
+                                 (48, 64), (64, 32)])
+def test_folded_forward_equals_per_list_product(k, n):
+    # weights of n >= 8 columns and 8,192+ entries run as one GEMM over every
+    # row of every list; each list must still equal its own (m, k) @ (k, n)
+    # product bit for bit
+    rng = RngStream(13)
+    x, w = rng.normal((128, 5, k)), rng.normal((k, n))
+    out = ad.matmul(ad.constant(x), ad.constant(w)).value
+    assert out.shape == (128, 5, n)
+    for i in range(len(x)):
+        assert np.array_equal(out[i], x[i] @ w)
+
+
 def test_rows_by_weight_backward_memory_is_bounded():
     rng = RngStream(12)
     x, w = ad.param(rng.normal((256, 5, 512))), ad.param(rng.normal((512, 256)) * 0.05)

@@ -159,6 +159,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1 and "train_fraction" in err
         assert not out.exists()
 
+    def test_empty_train_split_is_3(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, "empty",
+                                     data={"num_records": 60, "train_fraction": 0.01})
+        assert main(["gen-data", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "split empty" in err
+        assert not out.exists()
+
     def test_training_that_changes_nothing_is_1(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, "stalled")
         assert main(["gen-data", "--config", str(cfg_path)]) == 0

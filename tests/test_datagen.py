@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neighborrank import datagen
 from neighborrank.config import default_config
@@ -21,7 +23,7 @@ from neighborrank.datagen import (
     split_records,
     write_dataset,
 )
-from neighborrank.rng import RngStream
+from neighborrank.rng import RngStream, StreamRows
 
 
 def small_cfg(**overrides) -> DataConfig:
@@ -262,14 +264,114 @@ def loop_labels(model, item_ids, user_id, rs):
 def test_simulator_matches_loop_reference(num_categories):
     cfg = small_cfg(num_categories=num_categories, list_size=6, num_candidates=6)
     model = ground_truth(cfg)
-    for trial in range(200):
-        pick = RngStream(trial).split("pick")
-        items = pick.choice(cfg.num_items, cfg.list_size)
-        user = pick.integers(0, cfg.num_users)
-        assert np.array_equal(model.list_click_probs(items, user),
-                              loop_click_probs(model, items, user))
-        fast, ref = RngStream(trial, 3), RngStream(trial, 3)
-        got = datagen._sample_labels(model, items, user, fast)
-        want = loop_labels(model, items, user, ref)
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
-        assert fast.counter == ref.counter
+    picks = [RngStream(trial).split("pick") for trial in range(200)]
+    items = np.stack([pick.choice(cfg.num_items, cfg.list_size) for pick in picks])
+    users = [pick.integers(0, cfg.num_users) for pick in picks]
+    aff = np.stack([model.affinity(user) for user in users])
+    rows = StreamRows([RngStream(trial).seed for trial in range(200)], counter=3)
+    clicks, convs = datagen._sample_labels(model, items, aff, rows)
+    assert clicks.dtype == convs.dtype == np.int64
+    for trial, user in enumerate(users):
+        assert np.array_equal(model.list_click_probs(items[trial], user),
+                              loop_click_probs(model, items[trial], user))
+        want = loop_labels(model, items[trial], user, RngStream(trial, 3))
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip((clicks[trial], convs[trial]), want))
+
+
+def reference_ranked_exposure(model, pool, user_id, noise, m, rs, personalized):
+    score = model.quality(pool)
+    if personalized:
+        score += model.affinity(user_id)[model.catalog.category[pool]]
+    score += rs.normal((len(pool),)) * noise
+    order = np.argsort(-score, kind="stable")
+    return pool[order[:m]]
+
+
+def reference_sample_labels(model, item_ids, user_id, rs):
+    probs = model.list_click_probs(item_ids, user_id)
+    clicks = (rs.uniform((len(item_ids),)) < probs).astype(np.int64)
+    clicked = np.flatnonzero(clicks)
+    conv_probs = [model.conversion_prob(int(item_ids[j]), user_id) for j in clicked]
+    convs = np.zeros(len(item_ids), dtype=np.int64)
+    convs[clicked] = rs.uniform((len(clicked),)) < conv_probs
+    return clicks, convs
+
+
+def reference_generate_records(cfg, model):
+    """Reference: the simulator one record at a time, each from its own stream."""
+    cat = model.catalog
+    root = RngStream(cfg.seed).split("records")
+    records = []
+    for i in range(cfg.num_records):
+        rs = root.split(i)
+        user_id = rs.split("user").integers(0, cfg.num_users)
+        ses_ids = np.zeros((cfg.history_sessions, cfg.list_size, 3), dtype=np.int64)
+        ses_clicks = np.zeros((cfg.history_sessions, cfg.list_size), dtype=np.int64)
+        ses_convs = np.zeros((cfg.history_sessions, cfg.list_size), dtype=np.int64)
+        for h in range(cfg.history_sessions):
+            hs = rs.split("session", h)
+            pool = hs.choice(cat.num_items, cfg.num_candidates)
+            shown = reference_ranked_exposure(model, pool, user_id, cfg.exposure_noise,
+                                              cfg.list_size, hs.split("rank"), personalized=True)
+            ses_ids[h] = cat.feature_ids(shown)
+            ses_clicks[h], ses_convs[h] = reference_sample_labels(model, shown, user_id,
+                                                                  hs.split("labels"))
+        cs = rs.split("current")
+        pool = cs.choice(cat.num_items, cfg.num_candidates)
+        shown = reference_ranked_exposure(model, pool, user_id, cfg.exposure_noise,
+                                          cfg.list_size, cs.split("rank"), personalized=False)
+        pool_pos = {int(item): idx for idx, item in enumerate(pool)}
+        exposed = np.array([pool_pos[int(item)] for item in shown], dtype=np.int64)
+        clicks, convs = reference_sample_labels(model, shown, user_id, cs.split("labels"))
+        records.append(datagen.InteractionRecord(
+            int(user_id), ses_ids, ses_clicks, ses_convs, cat.feature_ids(pool), exposed,
+            clicks, convs))
+    return records
+
+
+@st.composite
+def data_configs(draw):
+    num_items = draw(st.integers(1, 60))
+    num_candidates = draw(st.integers(1, min(num_items, 12)))
+    return DataConfig(
+        seed=draw(st.integers(0, 2**64 - 1)), num_items=num_items,
+        num_categories=draw(st.integers(1, num_items)), num_brands=draw(st.integers(1, 5)),
+        num_users=draw(st.integers(1, 50)), history_sessions=draw(st.integers(1, 3)),
+        list_size=draw(st.integers(1, num_candidates)), num_candidates=num_candidates,
+        num_records=draw(st.integers(2, 12)),
+        exposure_noise=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        affinity_sigma=draw(st.sampled_from([0.0, 0.8])),
+        cannibalization=draw(st.sampled_from([0.0, 1.0])))
+
+
+@given(cfg=data_configs())
+@settings(max_examples=60, deadline=None)
+def test_lockstep_simulator_matches_per_record_reference(cfg):
+    model = ground_truth(cfg)
+    got, want = generate_records(cfg, model), reference_generate_records(cfg, model)
+    assert len(got) == len(want) == cfg.num_records
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(datagen.InteractionRecord):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert type(x) is type(y), f.name
+            assert np.array_equal(x, y) and np.shape(x) == np.shape(y), f.name
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype, f.name
+
+
+def test_affinity_is_one_row_of_the_user_table():
+    model = ground_truth(small_cfg())
+    users = np.array([29, 0, 7, 7])
+    table = model.affinities(users)
+    assert table.shape == (4, model.catalog.num_categories)
+    for row, user in zip(table, users):
+        assert np.array_equal(row, model.affinity(user))
+
+
+def test_empty_train_split_rejected():
+    with pytest.raises(ValueError, match="train or test split empty"):
+        small_cfg(num_records=60, train_fraction=0.01)
+    with pytest.raises(ValueError, match="train or test split empty"):
+        small_cfg(num_records=1, train_fraction=0.9)
+    assert datagen.num_train(small_cfg(num_records=60, train_fraction=0.02), 60) == 1

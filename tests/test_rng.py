@@ -174,13 +174,19 @@ def test_stream_rows_match_per_row_streams(seed, tags, rows, child, m, n):
     """split_rows/StreamRows draw, row for row, what RngStream.split draws."""
     streams = RngStream(seed).split_rows(*tags, rows=np.array(rows))
     gumbel_m, gumbel_mn = streams.gumbel((m,)), streams.gumbel((m, n))
+    # m and m * n cover odd and even sizes, whose Box-Muller pairs differ
+    normal_m, normal_mn = streams.normal((m,)), streams.normal((m, n))
     kids = streams.split(*child)
     perm, uni = kids.permutation(m), kids.uniform((m, n))
     assert gumbel_mn.shape == (len(rows), m, n) and uni.shape == (len(rows), m, n)
+    assert normal_mn.shape == (len(rows), m, n)
     for i, r in enumerate(rows):
         one = RngStream(seed).split(*tags, r)
         assert np.array_equal(gumbel_m[i], one.gumbel((m,)))
         assert np.array_equal(gumbel_mn[i], one.gumbel((m, n)))
+        assert np.array_equal(normal_m[i], one.normal((m,)))
+        assert np.array_equal(normal_mn[i], one.normal((m, n)))
+        assert one.counter == streams.counter
         kid = one.split(*child)
         assert np.array_equal(perm[i], kid.permutation(m))
         assert np.array_equal(uni[i], kid.uniform((m, n)))
