@@ -213,13 +213,8 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    out_val = a.value @ b.value
     av, bv = a.value, b.value
-    if bv.ndim == 2 and av.ndim >= 3 and bv.shape[1] >= 8 and bv.size >= 8192:
-        # one GEMM over all rows: at n >= 8 each row rounds as its list alone,
-        # and below 8,192 weights one GEMM per list is faster at 1,024 lists
-        out_val = (av.reshape(-1, bv.shape[0]) @ bv).reshape(av.shape[:-1] + bv.shape[1:])
-    else:
-        out_val = av @ bv
 
     def bwd(g):
         if bv.ndim == 2:

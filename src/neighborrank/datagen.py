@@ -225,12 +225,21 @@ def _ranked_exposure(model: GroundTruthModel, pool: np.ndarray, aff: np.ndarray 
     return np.argsort(-score, axis=1, kind="stable")
 
 
+SIM_BLOCK = 1 << 18   # pool draws (records x num_items) per lockstep pass; bounds the memory peak
+
+
 def generate_records(cfg: DataConfig, model: GroundTruthModel | None = None) -> list[InteractionRecord]:
-    """Simulate all records in lockstep: row i draws from the stream
-    RngStream(seed).split("records").split(i)."""
+    """Simulate the records in lockstep, SIM_BLOCK // num_items at a time:
+    record i draws from the stream RngStream(seed).split("records").split(i)."""
     model = model or ground_truth(cfg)
+    root, step = RngStream(cfg.seed).split("records"), max(1, SIM_BLOCK // model.catalog.num_items)
+    return [rec for start in range(0, cfg.num_records, step) for rec in _simulate(
+        cfg, model, root.split_rows(rows=np.arange(start, min(start + step, cfg.num_records))))]
+
+
+def _simulate(cfg: DataConfig, model: GroundTruthModel, rows: StreamRows) -> list[InteractionRecord]:
+    """The records of one block of stream rows."""
     cat, m = model.catalog, cfg.list_size
-    rows = RngStream(cfg.seed).split("records").split_rows(rows=np.arange(cfg.num_records))
     u = rows.split("user").uniform((1,))[:, 0]
     users = np.minimum(np.floor(u * cfg.num_users).astype(np.int64), cfg.num_users - 1)
     distinct, which = np.unique(users, return_inverse=True)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,6 +272,7 @@ def test_simulator_matches_loop_reference(num_categories):
     rows = StreamRows([RngStream(trial).seed for trial in range(200)], counter=3)
     clicks, convs = datagen._sample_labels(model, items, aff, rows)
     assert clicks.dtype == convs.dtype == np.int64
+    assert rows.counter == 3 + 2 * cfg.list_size
     for trial, user in enumerate(users):
         assert np.array_equal(model.list_click_probs(items[trial], user),
                               loop_click_probs(model, items[trial], user))
@@ -345,11 +347,14 @@ def data_configs(draw):
         cannibalization=draw(st.sampled_from([0.0, 1.0])))
 
 
-@given(cfg=data_configs())
+@given(cfg=data_configs(), block_rows=st.integers(1, 13))
 @settings(max_examples=60, deadline=None)
-def test_lockstep_simulator_matches_per_record_reference(cfg):
+def test_lockstep_simulator_matches_per_record_reference(cfg, block_rows):
+    # block_rows below num_records runs the simulation over several blocks
     model = ground_truth(cfg)
-    got, want = generate_records(cfg, model), reference_generate_records(cfg, model)
+    with mock.patch.object(datagen, "SIM_BLOCK", block_rows * cfg.num_items):
+        got = generate_records(cfg, model)
+    want = reference_generate_records(cfg, model)
     assert len(got) == len(want) == cfg.num_records
     for a, b in zip(got, want):
         for f in dataclasses.fields(datagen.InteractionRecord):
