@@ -173,6 +173,8 @@ class DataConfig:
             raise ValueError("list_size cannot exceed num_candidates")
         if self.num_candidates > self.num_items:
             raise ValueError("num_candidates cannot exceed num_items")
+        if self.num_categories > self.num_items:
+            raise ValueError("num_categories cannot exceed num_items")
         if self.position_slope <= 0:
             raise ValueError("position_slope must be positive (position bias must decrease)")
         if not 0 < self.train_fraction < 1:

@@ -262,21 +262,26 @@ def slot_tables(set_ids: np.ndarray, e_user: np.ndarray,
     """(pctr, pcvr), each (S, item, slot): every item of (S, m, F) sorted sets
     at every slot, under one (D,) user vector. The list vector is pooled
     without positions, so any ordering of a set scores as a gather from here
-    (up to the rounding of its pooling order). SCORE_CHUNK // m sets a pass."""
+    (up to the rounding of its pooling order). Sets are encoded SCORE_CHUNK // m
+    a pass; their rows are built and run through the MLP SCORE_CHUNK a pass
+    (SCORE_CHUNK // m**2 sets), so each layer's output stays in cache."""
     s, m = set_ids.shape[:2]
     pctr, pcvr = np.empty((2, s, m, m))
-    step = max(1, SCORE_CHUNK // m)
+    step, mlp_step = max(1, SCORE_CHUNK // m), max(1, SCORE_CHUNK // (m * m))
     with no_grad():
         for start in range(0, s, step):
             blk = slice(start, start + step)
             x = embed_lists(set_ids[blk], params)
-            _, e_list = list_attention(x, params)
-            b = len(e_list.value)
-            parts = (x.value.reshape(b, m, 1, -1), e_list.value[:, None, None], e_user,
-                     params.ps["pos"].value)   # rows [item, e_list, e_user, pos[slot]]
-            h = np.concatenate([np.broadcast_to(a, (b, m, m, a.shape[-1])) for a in parts], -1)
-            p, v = slot_heads(ad.constant(h), params)
-            pctr[blk], pcvr[blk] = p.value, v.value
+            items, e_list = x.value.reshape(*x.shape[:2], 1, -1), list_attention(x, params)[1]
+            ctr, cvr = pctr[blk], pcvr[blk]
+            for i in range(0, len(ctr), mlp_step):
+                sub = slice(i, i + mlp_step)
+                parts = (items[sub], e_list.value[sub, None, None], e_user,
+                         params.ps["pos"].value)   # rows [item, e_list, e_user, pos[slot]]
+                h = np.concatenate([np.broadcast_to(a, (*ctr[sub].shape, a.shape[-1]))
+                                    for a in parts], -1)
+                p, v = slot_heads(ad.constant(h), params)
+                ctr[sub], cvr[sub] = p.value, v.value
     return pctr, pcvr
 
 

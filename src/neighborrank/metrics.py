@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ class MetricError(ValueError):
 
 
 class PermutationSpace:
-    """All ordered m-selections of range(n), in lexicographic order."""
+    """Ordered m-selections of range(n) in lexicographic order: count and index."""
 
     def __init__(self, n: int, m: int):
         if not (1 <= m <= n):
@@ -33,9 +33,6 @@ class PermutationSpace:
     @property
     def count(self) -> int:
         return math.perm(self.n, self.m)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return itertools.permutations(range(self.n), self.m)
 
     def index(self, perm: Sequence[int]) -> int:
         """Lexicographic position of one m-selection, 0-based."""
@@ -52,24 +49,26 @@ class PermutationSpace:
             used[p] = True
         return idx
 
-    def as_array(self) -> np.ndarray:
-        """(count, m) int array of all selections; only for enumerable sizes."""
-        return np.array(list(self), dtype=np.int64)
-
 
 @functools.cache
-def selection_index(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each m-selection of range(n), in enumeration order, by its item set:
-    `sets` (S, m) sorted, in itertools.combinations order; `set_of` (count,)
-    and `item_pos` (count, m) with `sets[set_of[i], item_pos[i]]` selection i.
-    Built once per (n, m); read-only, so every thread may share the arrays."""
-    perms = PermutationSpace(n, m).as_array()
-    sets, set_of = np.unique(np.sort(perms, axis=1), axis=0, return_inverse=True)
-    item_pos = np.argsort(np.argsort(perms, axis=1), axis=1)
-    out = (sets, set_of.reshape(-1), item_pos)
-    for arr in out:
+def selection_index(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each m-selection of range(n), by its item set: `sets` (S, m) sorted, in
+    itertools.combinations order, and `at` (count, m), in enumeration order,
+    where at[i, j] is the flat position, in a raveled (S, item, slot) table, of
+    the item selection i puts at slot j. Built once per (n, m) in closed form;
+    read-only, so every caller may share the arrays."""
+    sets = np.array(list(itertools.combinations(range(n), m)), dtype=np.int64)
+    orders = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    # selection sets[s][orders[p]] ranks as PermutationSpace.index does: digit t is
+    # its item less the smaller items before it (in a sorted set, those of smaller
+    # order), weighted perm(n-t-1, m-t-1)
+    digits = sets[:, orders] - np.triu(orders[:, :, None] < orders[:, None, :], 1).sum(axis=1)
+    rank = digits @ [math.perm(n - t - 1, m - t - 1) for t in range(m)]
+    at = np.empty((rank.size, m), dtype=np.int64)
+    at[rank] = (np.arange(len(sets))[:, None, None] * m + orders) * m + np.arange(m)
+    for arr in (sets, at):
         arr.flags.writeable = False
-    return out
+    return sets, at
 
 
 def auc(scores, labels) -> float:

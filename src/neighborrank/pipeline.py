@@ -41,10 +41,10 @@ def oracle_table(record: InteractionRecord, eval_params: EvaluatorParams,
     if space.count > ORACLE_CAP:
         raise MetricError(f"permutation space of size {space.count} exceeds enumeration "
                           f"cap {ORACLE_CAP}; sampled ranking is out of scope")
-    sets, set_of, item_pos = selection_index(space.n, space.m)
+    sets, at = selection_index(space.n, space.m)
     pctr, pcvr = slot_tables(record.candidate_ids[sets], e_user, eval_params)
-    at = (set_of[:, None], item_pos, np.arange(space.m))
-    return OracleTable(space=space, scores=list_reward(pctr[at], pcvr[at], reward_cfg))
+    return OracleTable(space=space, scores=list_reward(pctr.reshape(-1)[at],
+                                                       pcvr.reshape(-1)[at], reward_cfg))
 
 
 def greedy_rerank(records: list[InteractionRecord], eval_params: EvaluatorParams,

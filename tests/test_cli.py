@@ -167,6 +167,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1 and "split empty" in err
         assert not out.exists()
 
+    def test_more_categories_than_items_is_3(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, "categories",
+                                     data={"num_items": 5, "num_categories": 9})
+        assert main(["gen-data", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "num_categories" in err
+        assert not out.exists()
+
     def test_training_that_changes_nothing_is_1(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, "stalled")
         assert main(["gen-data", "--config", str(cfg_path)]) == 0

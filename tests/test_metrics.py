@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neighborrank import autodiff as ad
 from neighborrank import evaluator as ev
 from neighborrank import metrics
 from neighborrank import pipeline as pl
@@ -38,6 +39,11 @@ def pairwise_auc_oracle(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def all_selections(n, m):
+    """Every m-selection of range(n), in enumeration (lexicographic) order."""
+    return list(itertools.permutations(range(n), m))
+
+
 class TestPermutations:
     def test_counts_match_reported_sizes(self):
         assert PermutationSpace(5, 5).count == 120
@@ -52,7 +58,7 @@ class TestPermutations:
 
     def test_enumeration_is_exact_and_unique(self):
         space = PermutationSpace(5, 3)
-        perms = list(space)
+        perms = all_selections(5, 3)
         assert len(perms) == space.count
         assert len(set(perms)) == space.count
 
@@ -62,7 +68,7 @@ class TestPermutations:
 
     def test_index_matches_enumeration_order(self):
         space = PermutationSpace(6, 3)
-        for i, perm in enumerate(space):
+        for i, perm in enumerate(all_selections(6, 3)):
             assert space.index(perm) == i
 
     def test_index_rejects_duplicates(self):
@@ -205,21 +211,63 @@ def oracle_inputs(num_candidates: int, list_size: int, mlp_hidden=(8,), record=0
 def enumerated_oracle_scores(record, params, reward_cfg, e_user):
     """Reference oracle: every ordering scored whole through scores_for_lists."""
     dims = params.dims
-    perms = PermutationSpace(dims.num_candidates, dims.list_size).as_array()
+    perms = np.array(all_selections(dims.num_candidates, dims.list_size))
     e_rep = np.broadcast_to(e_user, (len(perms), e_user.shape[-1]))
     pctr, pcvr = ev.scores_for_lists(record.candidate_ids[perms], e_rep, params)
     return list_reward(pctr, pcvr, reward_cfg)
 
 
+def sorted_selection_index(n, m):
+    """Reference: the index built by sorting every enumerated selection, as
+    (sets, set_of, item_pos) with sets[set_of[i], item_pos[i]] selection i."""
+    perms = np.array(all_selections(n, m), dtype=np.int64)
+    sets, set_of = np.unique(np.sort(perms, axis=1), axis=0, return_inverse=True)
+    item_pos = np.argsort(np.argsort(perms, axis=1), axis=1)
+    return sets, set_of.reshape(-1), item_pos
+
+
+def three_index_oracle_scores(record, params, reward_cfg, e_user):
+    """Reference oracle: the sort-built index, one MLP pass per SCORE_CHUNK // m
+    encoded sets, and a gather through three broadcast index arrays."""
+    n, m = params.dims.num_candidates, params.dims.list_size
+    sets, set_of, item_pos = sorted_selection_index(n, m)
+    set_ids = record.candidate_ids[sets]
+    pctr, pcvr = np.empty((2, len(sets), m, m))
+    step = max(1, ev.SCORE_CHUNK // m)
+    with ad.no_grad():
+        for start in range(0, len(sets), step):
+            blk = slice(start, start + step)
+            x = ev.embed_lists(set_ids[blk], params)
+            _, e_list = ev.list_attention(x, params)
+            b = len(e_list.value)
+            parts = (x.value.reshape(b, m, 1, -1), e_list.value[:, None, None], e_user,
+                     params.ps["pos"].value)
+            h = np.concatenate([np.broadcast_to(a, (b, m, m, a.shape[-1])) for a in parts], -1)
+            p, v = ev.slot_heads(ad.constant(h), params)
+            pctr[blk], pcvr[blk] = p.value, v.value
+    at = (set_of[:, None], item_pos, np.arange(m))
+    return list_reward(pctr[at], pcvr[at], reward_cfg)
+
+
 class TestSelectionIndex:
     @pytest.mark.parametrize("n,m", [(5, 5), (12, 4), (8, 5), (6, 3), (4, 1)])
     def test_rebuilds_every_selection(self, n, m):
-        sets, set_of, item_pos = selection_index(n, m)
-        perms = PermutationSpace(n, m).as_array()
-        assert set_of.shape == (len(perms),) and item_pos.shape == perms.shape
-        rebuilt = np.take_along_axis(sets[set_of], item_pos, axis=1)
-        assert np.array_equal(rebuilt, perms)
+        sets, at = selection_index(n, m)
+        perms = np.array(all_selections(n, m))
+        assert at.shape == perms.shape and at.dtype == np.int64
+        # every slot of a selection points into one set's (item, slot) block
+        assert np.array_equal(at // (m * m), np.repeat(at[:, :1] // (m * m), m, axis=1))
+        assert np.array_equal(sets.reshape(-1)[at // m], perms)
+        assert np.array_equal(at % m, np.broadcast_to(np.arange(m), perms.shape))
         assert sets.tolist() == [list(c) for c in itertools.combinations(range(n), m)]
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (4, 1), (5, 5), (6, 3), (7, 7), (8, 5), (9, 2),
+                                     (12, 4)])
+    def test_closed_form_equals_sorted_build(self, n, m):
+        sets, at = selection_index(n, m)
+        ref_sets, set_of, item_pos = sorted_selection_index(n, m)
+        assert np.array_equal(sets, ref_sets) and sets.dtype == ref_sets.dtype
+        assert np.array_equal(at, (set_of[:, None] * m + item_pos) * m + np.arange(m))
 
     def test_arrays_are_read_only_and_shared(self):
         arrays = selection_index(6, 3)
@@ -246,6 +294,17 @@ class TestSetFactorizedOracle:
         assert got.shape == want.shape and len(set(got.tolist())) > 1
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert np.array_equal(np.argsort(-got, kind="stable"), np.argsort(-want, kind="stable"))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_scores_equal_three_index_gather(self, monkeypatch, case, chunk):
+        n, m, hidden = self.CASES[case]
+        rec, params, e_user = oracle_inputs(n, m, hidden)
+        want = three_index_oracle_scores(rec, params, RewardConfig(), e_user)
+        if chunk is not None:
+            monkeypatch.setattr(ev, "SCORE_CHUNK", chunk)
+        got = oracle_table(rec, params, RewardConfig(), e_user).scores
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_slot_tables_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
@@ -280,7 +339,7 @@ class TestOracleRank:
             (0, 1): 0.9, (0, 2): 0.4, (1, 0): 0.7,
             (1, 2): 0.4, (2, 0): 0.1, (2, 1): 0.95,
         }
-        oracle = OracleTable(space, np.array([table[perm] for perm in space]))
+        oracle = OracleTable(space, np.array([table[perm] for perm in all_selections(3, 2)]))
         assert self.rank(oracle, (2, 1)) == 1
         assert self.rank(oracle, (0, 1)) == 2
         assert self.rank(oracle, (1, 0)) == 3
@@ -294,7 +353,7 @@ class TestOracleRank:
         oracle = oracle_table(record, params, RewardConfig(), e_user)
         assert len(oracle.scores) == oracle.space.count == 60
         assert len(set(oracle.scores.tolist())) > 1
-        perms = list(oracle.space)
+        perms = all_selections(5, 3)
         assert self.rank(oracle, perms[int(np.argmax(oracle.scores))]) == 1
         assert self.rank(oracle, perms[int(np.argmin(oracle.scores))]) == oracle.space.count
 
