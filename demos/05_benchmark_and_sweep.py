@@ -24,15 +24,16 @@ eval_params, _ = ev.train_evaluator(train, test, dims, TrainingSection(eval_epoc
 training = TrainingSection(gen_epochs=16, seed=2)
 gp, _, reward_cfg = tr.train_generator(train, eval_params, training)
 
-# every reranker proposes one list per record; the oracle ranks each proposal
-# against all 120 permutations of that record's candidates
+# every reranker proposes one list per record; the oracle scores all 120
+# permutations of that record's candidates once, keeps the keys of its top-10%
+# and top-1% cutoffs, and a proposal hits when it ranks no later than the cutoff
 e_user = ev.user_vectors(test, eval_params)
-tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user)
+keys = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user)
 lists = pl.baseline_lists(test, eval_params, 3, e_user)
 lists["generator"], _ = pl.rerank_records(test, gp,
                                           GumbelConfig(tau=training.tau_end, noise=False),
                                           e_user)
-report = pl.evaluate_rerankers(tables, lists)
+report = pl.evaluate_rerankers(keys, lists)
 
 print(f"{'model':10s}  HR@10%   HR@1%    mean shaped reward")
 for model in ("input", "random", "greedy", "generator"):

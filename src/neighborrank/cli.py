@@ -136,15 +136,15 @@ def cmd_train_gen(cfg: Config, out_dir: Path) -> None:
     eval_params = _load_evaluator(cfg, out_dir)
     val = test[: cfg.training.hr_validation_records]
     val_users = ev.user_vectors(val, eval_params)
-    tables: list = []
+    keys: list = []   # the validation cutoff keys, built once the reward scale is known
     gcfg = _gumbel_config(cfg)
 
     def epoch_cb(gp, epoch):
-        if not tables:
+        if not keys:
             rc = tr.reward_config(cfg.training, gp.reward_scale)
-            tables.extend(pl.build_oracle_tables(val, eval_params, rc, val_users))
+            keys.append(pl.build_oracle_tables(val, eval_params, rc, val_users))
         lists, _ = pl.rerank_records(val, gp, gcfg, val_users)
-        return {"hr10_val": pl.evaluate_rerankers(tables, {"gen": lists}).hr["gen"][10.0]}
+        return {"hr10_val": pl.evaluate_rerankers(keys[0], {"gen": lists}).hr["gen"][10.0]}
 
     gp, history, reward_cfg = tr.train_generator(train, eval_params, cfg.training,
                                                  epoch_callback=epoch_cb)
@@ -193,9 +193,9 @@ def _bench_report(cfg: Config, out_dir: Path) -> list[dict]:
     eval_row = ev.evaluate_metrics(test, eval_params, e_user)
     lists = pl.baseline_lists(test, eval_params, cfg.training.seed, e_user)
     lists["generator"], _ = pl.rerank_records(test, gp, _gumbel_config(cfg), e_user)
-    # one table alive at a time: the generator builds each as it is ranked
-    tables = (pl.oracle_table(rec, eval_params, reward_cfg, u) for rec, u in zip(test, e_user))
-    hr = pl.evaluate_rerankers(tables, lists)
+    # each block of oracle tables is freed once reduced to its records' cutoff keys
+    hr = pl.evaluate_rerankers(pl.build_oracle_tables(test, eval_params, reward_cfg, e_user),
+                               lists)
     rows = [{"model": "evaluator", **eval_row}]
     for model in ("input", "random", "greedy", "generator"):
         rows.append({"model": model,

@@ -260,7 +260,8 @@ def scores_for_lists(list_ids: np.ndarray, e_user: np.ndarray,
 def slot_tables(set_ids: np.ndarray, e_user: np.ndarray,
                 params: EvaluatorParams) -> tuple[np.ndarray, np.ndarray]:
     """(pctr, pcvr), each (S, item, slot): every item of (S, m, F) sorted sets
-    at every slot, under one (D,) user vector. The list vector is pooled
+    at every slot, each set under its own row of (S, D) user vectors. A set's
+    scores do not depend on the other sets in the call. The list vector is pooled
     without positions, so any ordering of a set scores as a gather from here
     (up to the rounding of its pooling order). Sets are encoded SCORE_CHUNK // m
     a pass; their rows are built and run through the MLP SCORE_CHUNK a pass
@@ -273,10 +274,10 @@ def slot_tables(set_ids: np.ndarray, e_user: np.ndarray,
             blk = slice(start, start + step)
             x = embed_lists(set_ids[blk], params)
             items, e_list = x.value.reshape(*x.shape[:2], 1, -1), list_attention(x, params)[1]
-            ctr, cvr = pctr[blk], pcvr[blk]
+            ctr, cvr, users = pctr[blk], pcvr[blk], e_user[blk, None, None]
             for i in range(0, len(ctr), mlp_step):
                 sub = slice(i, i + mlp_step)
-                parts = (items[sub], e_list.value[sub, None, None], e_user,
+                parts = (items[sub], e_list.value[sub, None, None], users[sub],
                          params.ps["pos"].value)   # rows [item, e_list, e_user, pos[slot]]
                 h = np.concatenate([np.broadcast_to(a, (*ctr[sub].shape, a.shape[-1]))
                                     for a in parts], -1)

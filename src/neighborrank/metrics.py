@@ -34,20 +34,25 @@ class PermutationSpace:
     def count(self) -> int:
         return math.perm(self.n, self.m)
 
-    def index(self, perm: Sequence[int]) -> int:
-        """Lexicographic position of one m-selection, 0-based."""
-        perm = tuple(int(p) for p in perm)
-        if len(perm) != self.m or len(set(perm)) != self.m:
-            raise MetricError(f"not a valid selection of length {self.m}: {perm}")
-        if any(p < 0 or p >= self.n for p in perm):
-            raise MetricError(f"selection {perm} outside range({self.n})")
-        used = np.zeros(self.n, dtype=bool)
-        idx = 0
-        for t, p in enumerate(perm):
-            smaller_unused = int(np.count_nonzero(~used[:p]))
-            idx += smaller_unused * math.perm(self.n - t - 1, self.m - t - 1)
-            used[p] = True
-        return idx
+    def index(self, perms) -> int | np.ndarray:
+        """Lexicographic position, 0-based, of one m-selection or of each row of
+        an (R, m) int array of them: Lehmer digit t is the item less the smaller
+        items before it, weighted perm(n-t-1, m-t-1)."""
+        arr = np.asarray(perms)
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.m or arr.dtype.kind not in "iu":
+            raise MetricError(f"not a valid selection of length {self.m}: {perms}")
+        rows = np.atleast_2d(arr).astype(np.int64, copy=False)
+        ordered = np.sort(rows, axis=1)
+        bad = (ordered[:, 0] < 0) | (ordered[:, -1] >= self.n) | (np.diff(ordered) == 0).any(1)
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise MetricError(f"row {r}, {rows[r].tolist()}, is not a selection of {self.m} "
+                              f"distinct items from range({self.n})")
+        digits = rows - np.triu(rows[:, :, None] < rows[:, None, :], 1).sum(axis=1)
+        weights = [math.perm(self.n - t - 1, self.m - t - 1) for t in range(self.m)]
+        # Python ints where a position may not fit int64
+        idx = digits @ np.array(weights, dtype=np.int64 if self.count <= 2**63 else object)
+        return int(idx[0]) if arr.ndim == 1 else idx
 
 
 @functools.cache
@@ -148,6 +153,26 @@ def hit_cutoff(count: int, pct: float) -> int:
     if not (0 < pct < 100):
         raise MetricError(f"pct must be in (0, 100), got {pct}")
     return max(1, math.floor(pct / 100.0 * count))
+
+
+def cutoff_keys(scores: np.ndarray, cutoffs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Score and enumeration index, each (R, len(cutoffs)), of the entry that
+    rank_in_scores ranks c-th in each row of (R, count) scores, per cutoff c.
+    An entry (s, i) ranks within c exactly when (-s, i) <= (-s_c, i_c)."""
+    kth = [scores.shape[1] - c for c in cutoffs]
+    key_s = np.partition(scores, kth, axis=1)[:, kth]
+    key_i = np.empty(key_s.shape, dtype=np.int64)
+    for k, c in enumerate(cutoffs):
+        s = key_s[:, k, None]
+        # entries tied at s take the ranks the better ones leave, in enumeration order
+        left = c - np.count_nonzero(scores > s, axis=1)
+        key_i[:, k] = np.argmax(np.cumsum(scores == s, axis=1) >= left[:, None], axis=1)
+    return key_s, key_i
+
+
+def within_cutoff(score, index, key_score, key_index) -> np.ndarray:
+    """Whether entries (score, index) rank within their cutoff (see cutoff_keys)."""
+    return (score > key_score) | ((score == key_score) & (index <= key_index))
 
 
 def hit_ratio(ranks: Sequence[int], count: int, pct: float) -> float:

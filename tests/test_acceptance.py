@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, printing a PASS/FAIL line each.
 
 The heavy end-to-end artifacts (synthetic log, trained evaluator, trained
-generator plus its ablated variants, exhaustive rank tables) are built once
-in module-scoped fixtures and shared across criteria.
+generator plus its ablated variants, the exhaustive oracle's cutoff keys) are
+built once in module-scoped fixtures and shared across criteria.
 """
 import math
 import time
@@ -245,16 +245,16 @@ def e2e():
 
     t0 = time.time()
     e_user_test = ev.user_vectors(test, eval_params)
-    tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user_test)
+    keys = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user_test)
     gcfg = GumbelConfig(tau=training.tau_end, noise=False)
     lists = pl.baseline_lists(test, eval_params, 3, e_user_test)
     lists["generator"], _ = pl.rerank_records(test, gen_full, gcfg, e_user_test)
-    report = pl.evaluate_rerankers(tables, lists)
+    report = pl.evaluate_rerankers(keys, lists)
     timing["evaluate"] = time.time() - t0
     return {
         "cfg": cfg, "train": train, "test": test, "eval_params": eval_params,
         "eval_history": eval_history, "gen_full": gen_full, "reward_cfg": reward_cfg,
-        "tables": tables, "e_user_test": e_user_test, "gcfg": gcfg,
+        "keys": keys, "e_user_test": e_user_test, "gcfg": gcfg,
         "lists": lists, "report": report, "timing": timing,
     }
 
@@ -265,7 +265,7 @@ def train_variant(e2e_state, **overrides):
                                            training)
     gen_lists, _ = pl.rerank_records(e2e_state["test"], gp, e2e_state["gcfg"],
                                      e2e_state["e_user_test"])
-    return pl.evaluate_rerankers(e2e_state["tables"], {"gen": gen_lists}).hr["gen"][10.0]
+    return pl.evaluate_rerankers(e2e_state["keys"], {"gen": gen_lists}).hr["gen"][10.0]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from neighborrank.metrics import (
     MetricError,
     PermutationSpace,
     auc,
+    cutoff_keys,
     greedy_order,
     hit_cutoff,
     hit_ratio,
@@ -22,6 +25,7 @@ from neighborrank.metrics import (
     ndcg_at_k,
     rank_in_scores,
     selection_index,
+    within_cutoff,
 )
 from neighborrank.pipeline import OracleTable, oracle_table
 from neighborrank.rng import RngStream
@@ -74,6 +78,39 @@ class TestPermutations:
     def test_index_rejects_duplicates(self):
         with pytest.raises(MetricError):
             PermutationSpace(4, 3).index((1, 1, 2))
+
+    @pytest.mark.parametrize("n,m", [(5, 5), (6, 3), (12, 4)])
+    def test_index_ranks_an_array_of_lists_in_enumeration_order(self, n, m):
+        space = PermutationSpace(n, m)
+        perms = np.array(all_selections(n, m), dtype=np.int64)
+        shuffled = RngStream(n * 10 + m).permutation(len(perms))
+        got = space.index(perms[shuffled])
+        assert got.dtype == np.int64 and np.array_equal(got, shuffled)
+        # one list is the one-row case, returned as a Python int
+        for i in (0, len(perms) // 2, len(perms) - 1):
+            assert space.index(tuple(perms[i].tolist())) == i
+            assert type(space.index(perms[i])) is int
+        assert space.index(perms[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("n,m", [(22, 17), (30, 20)])
+    def test_index_is_exact_beyond_int64(self, n, m):
+        space = PermutationSpace(n, m)
+        first, last = list(range(m)), list(range(n - 1, n - m - 1, -1))
+        assert space.count > 2**63
+        assert space.index(last) == space.count - 1 and space.index(first) == 0
+        assert space.index(np.array([first, last])).tolist() == [0, space.count - 1]
+
+    @pytest.mark.parametrize("bad", [(0, 0, 1), (0, 1, 4), (-1, 0, 1)])
+    def test_index_names_the_invalid_row(self, bad):
+        rows = np.array([(0, 1, 2), (3, 2, 1), bad, (1, 0, 3)], dtype=np.int64)
+        with pytest.raises(MetricError, match=re.escape(f"row 2, {list(bad)}")):
+            PermutationSpace(4, 3).index(rows)
+
+    @pytest.mark.parametrize("perms", [(0, 1), (0, 1, 2, 3), [[0, 1, 2, 3]], (0.0, 1.0, 2.0),
+                                       ("a", "b", "c"), 2, np.zeros((2, 2, 3), dtype=np.int64)])
+    def test_index_rejects_wrong_shape_or_dtype(self, perms):
+        with pytest.raises(MetricError, match="not a valid selection of length 3"):
+            PermutationSpace(4, 3).index(perms)
 
 
 class TestAuc:
@@ -310,18 +347,19 @@ class TestSetFactorizedOracle:
     def test_slot_tables_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
         rec, params, e_user = oracle_inputs(8, 5)
         set_ids = rec.candidate_ids[selection_index(8, 5)[0]]
-        want = ev.slot_tables(set_ids, e_user, params)
+        users = np.broadcast_to(e_user, (len(set_ids), len(e_user)))
+        want = ev.slot_tables(set_ids, users, params)
         monkeypatch.setattr(ev, "SCORE_CHUNK", chunk)
-        got = ev.slot_tables(set_ids, e_user, params)
+        got = ev.slot_tables(set_ids, users, params)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_slot_table_entries_score_sorted_lists(self):
         # a sorted list is its set's own row order: the same inputs and network
         rec, params, e_user = oracle_inputs(6, 3)
         sets = selection_index(6, 3)[0]
-        pctr, pcvr = ev.slot_tables(rec.candidate_ids[sets], e_user, params)
-        ref_ctr, ref_cvr = ev.scores_for_lists(
-            rec.candidate_ids[sets], np.broadcast_to(e_user, (len(sets), len(e_user))), params)
+        users = np.broadcast_to(e_user, (len(sets), len(e_user)))
+        pctr, pcvr = ev.slot_tables(rec.candidate_ids[sets], users, params)
+        ref_ctr, ref_cvr = ev.scores_for_lists(rec.candidate_ids[sets], users, params)
         diag = np.arange(3)
         assert np.array_equal(pctr[:, diag, diag], ref_ctr)
         assert np.array_equal(pcvr[:, diag, diag], ref_cvr)
@@ -373,6 +411,101 @@ class TestOracleRank:
         monkeypatch.setattr(pl, "selection_index", no_index)
         with pytest.raises(MetricError, match="cap"):
             oracle_table(record, params, RewardConfig(), e_user)
+
+
+class TestCutoffKeys:
+    @given(values=st.lists(st.floats(-2, 2), min_size=1, max_size=3, unique=True),
+           weights=st.lists(st.integers(1, 50), min_size=3, max_size=3),
+           count=st.integers(1, 200), pct=st.sampled_from([10.0, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_key_test_equals_rank_within_cutoff(self, values, weights, count, pct, seed):
+        # tie-heavy rows: every entry one of at most 3 distinct scores, drawn with
+        # uneven weights, so the cutoff entry is often tied below a rarer best score
+        cum = np.cumsum(weights[: len(values)]) / sum(weights[: len(values)])
+        rows = np.array(values)[np.searchsorted(cum, RngStream(seed).uniform((3, count)))]
+        c = hit_cutoff(count, pct)
+        key_s, key_i = cutoff_keys(rows, [c])
+        for row, ks, ki in zip(rows, key_s[:, 0], key_i[:, 0]):
+            got = within_cutoff(row, np.arange(count), ks, ki)
+            want = [rank_in_scores(row, i) <= c for i in range(count)]
+            assert got.tolist() == want
+            assert rank_in_scores(row, int(ki)) == c and row[ki] == ks
+
+    def test_several_cutoffs_in_one_pass(self):
+        rows = RngStream(8).integers(0, 4, (6, 120)).astype(np.float64)
+        cutoffs = [hit_cutoff(120, 10), hit_cutoff(120, 1)]
+        key_s, key_i = cutoff_keys(rows, cutoffs)
+        assert key_s.shape == key_i.shape == (6, 2) and key_i.dtype == np.int64
+        for k, c in enumerate(cutoffs):
+            one_s, one_i = cutoff_keys(rows, [c])
+            assert np.array_equal(key_s[:, k], one_s[:, 0])
+            assert np.array_equal(key_i[:, k], one_i[:, 0])
+
+
+class TestBlockedOracle:
+    """Tables scored many records a pass, and lists scored through their own
+    item sets, give the bits of the one-record table."""
+
+    # (n, m, records): enough records for several blocks of several records,
+    # except at 12-of-4, where every record fills a pass of its own
+    CASES = {"5of5": (5, 5, 40), "12of4": (12, 4, 3), "6of3": (6, 3, 40)}
+
+    @staticmethod
+    def inputs(n, m, records):
+        cfg = DataConfig(seed=4, num_items=30, num_categories=4, num_brands=5, num_users=10,
+                         num_records=max(records, 2), num_candidates=n, list_size=m)
+        recs = generate_records(cfg)[:records]
+        dims = ev.ModelDims(item_vocab=30, cat_vocab=4, brand_vocab=5, list_size=m,
+                            num_candidates=n, history_sessions=cfg.history_sessions,
+                            embed_dim=4, mlp_hidden=(8,))
+        params = ev.EvaluatorParams.init(dims, RngStream(6), std=0.5)
+        return recs, params, ev.user_vectors(recs, params)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_list_reward_through_its_own_set_equals_table_entry(self, monkeypatch, case, chunk):
+        n, m, _ = self.CASES[case]
+        [rec], params, e_user = self.inputs(n, m, 1)
+        if chunk is not None:
+            monkeypatch.setattr(ev, "SCORE_CHUNK", chunk)
+        table = oracle_table(rec, params, RewardConfig(), e_user[0])
+        keys = pl.build_oracle_tables([rec], params, RewardConfig(), e_user)
+        assert keys.kept_slot_tables.shape == ((2, 1, m, m) if n == m else (2, 0, m, m))
+        perms = np.array(all_selections(n, m), dtype=np.int64)[::-1]   # not in table order
+        want = table.scores[table.space.index(perms)]
+        assert np.array_equal(pl.list_rewards(keys, perms), want)
+        # a swap pool's kept slot tables and a fresh pass over each list's set agree
+        fresh = dataclasses.replace(keys, kept_slot_tables=np.empty((2, 0, m, m)))
+        assert np.array_equal(pl.list_rewards(fresh, perms), want)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_blocked_tables_equal_per_record_tables(self, monkeypatch, case, chunk):
+        n, m, records = self.CASES[case]
+        recs, params, e_user = self.inputs(n, m, records)
+        if chunk is not None:
+            monkeypatch.setattr(ev, "SCORE_CHUNK", chunk)
+        blocks = []
+        real_keys = pl.cutoff_keys
+
+        def spy(rows, cutoffs):
+            blocks.append(rows.copy())
+            return real_keys(rows, cutoffs)
+
+        monkeypatch.setattr(pl, "cutoff_keys", spy)
+        keys = pl.build_oracle_tables(recs, params, RewardConfig(), e_user)
+        step = max(1, ev.SCORE_CHUNK // m // math.comb(n, m))
+        assert [len(b) for b in blocks] == [min(step, records - s)
+                                            for s in range(0, records, step)]
+        if chunk is None:   # several records a pass, except where one record fills it
+            assert (len(blocks[0]) > 1) == (case != "12of4")
+        want = np.stack([oracle_table(r, params, RewardConfig(), u).scores
+                         for r, u in zip(recs, e_user)])
+        assert np.array_equal(np.concatenate(blocks), want)
+        want_s, want_i = real_keys(want, [hit_cutoff(want.shape[1], p) for p in pl.HIT_PCTS])
+        assert np.array_equal(keys.key_scores, want_s)
+        assert np.array_equal(keys.key_index, want_i)
 
 
 class TestHitRatio:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from neighborrank import evaluator as ev
 from neighborrank import pipeline as pl
 from neighborrank import trainer as tr
-from neighborrank.config import TrainingSection
+from neighborrank.config import TrainingSection, wide_pool_config
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.generator import GumbelConfig
-from neighborrank.metrics import hit_ratio, rank_in_scores
+from neighborrank.metrics import PermutationSpace, hit_ratio, rank_in_scores
 from neighborrank.rng import RngStream
 
 
@@ -30,15 +31,21 @@ def setup():
     gp, _, reward_cfg = tr.train_generator(train, eval_params,
                                            TrainingSection(gen_epochs=2, seed=2))
     e_user = ev.user_vectors(test, eval_params)
-    tables = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user)
+    keys = pl.build_oracle_tables(test, eval_params, reward_cfg, e_user)
     return dict(cfg=cfg, test=test, eval_params=eval_params, gp=gp,
-                reward_cfg=reward_cfg, e_user=e_user, tables=tables)
+                reward_cfg=reward_cfg, e_user=e_user, keys=keys)
+
+
+def tables_of(setup, count):
+    """The first `count` test records' full oracle tables (the rank reference)."""
+    return [pl.oracle_table(rec, setup["eval_params"], setup["reward_cfg"], u)
+            for rec, u in zip(setup["test"][:count], setup["e_user"])]
 
 
 def test_greedy_sits_between_random_and_oracle(setup):
-    test, tables = setup["test"], setup["tables"]
+    test, keys = setup["test"], setup["keys"]
     lists = pl.baseline_lists(test, setup["eval_params"], 5, setup["e_user"])
-    report = pl.evaluate_rerankers(tables, lists)
+    report = pl.evaluate_rerankers(keys, lists)
     greedy = report.hr["greedy"][10.0]
     random_hr = report.hr["random"][10.0]
     assert random_hr == pytest.approx(0.10, abs=0.05)
@@ -63,7 +70,7 @@ def test_greedy_sorted_input_unchanged(setup):
 
 
 def test_oracle_table_extremes(setup):
-    table = setup["tables"][0]
+    [table] = tables_of(setup, 1)
     perms = list(itertools.permutations(range(table.space.n), table.space.m))
     best = perms[int(np.argmax(table.scores))]
     worst = perms[int(np.argmin(table.scores))]
@@ -100,15 +107,16 @@ def test_training_after_pipeline_still_learns(setup, monkeypatch):
 
 def test_generated_reward_not_below_input_for_majority(setup):
     # the editor may leave a list unchanged; it should rarely make it worse
-    test, tables = setup["test"], setup["tables"]
+    test, keys = setup["test"], setup["keys"]
     gcfg = GumbelConfig(tau=0.3, noise=False)
     gen_lists, _ = pl.rerank_records(test, setup["gp"], gcfg, setup["e_user"])
-    wins = 0
-    for i, rec in enumerate(test):
-        r_gen = tables[i].scores[tables[i].space.index(gen_lists[i])]
-        r_in = tables[i].scores[tables[i].space.index(tuple(int(x) for x in rec.exposed))]
-        wins += r_gen >= r_in
+    r_gen = pl.list_rewards(keys, np.array(gen_lists, dtype=np.int64))
+    r_in = pl.list_rewards(keys, np.stack([rec.exposed for rec in test]))
+    wins = int(np.count_nonzero(r_gen >= r_in))
     assert wins / len(test) > 0.5
+    # each is the record's table entry, bit for bit
+    for i, table in enumerate(tables_of(setup, 5)):
+        assert r_gen[i] == table.scores[table.space.index(gen_lists[i])]
 
 
 @pytest.mark.parametrize("n,m", [(5, 5), (12, 4)], ids=["5of5", "12of4"])
@@ -129,17 +137,67 @@ def test_random_baseline_matches_per_record_streams(n, m):
     assert len(set(got)) > 1
 
 
-def test_hr_report_structure(setup):
-    test, tables = setup["test"][:40], setup["tables"][:40]
+def test_hr_report_structure(setup, monkeypatch):
+    test, tables = setup["test"][:40], tables_of(setup, 40)
+    keys = pl.build_oracle_tables(test, setup["eval_params"], setup["reward_cfg"],
+                                  setup["e_user"][:40])
     lists = {"input": [tuple(int(x) for x in r.exposed) for r in test]}
-    report = pl.evaluate_rerankers(tables, lists)
+    report = pl.evaluate_rerankers(keys, lists)
     assert set(report.hr["input"]) == {10.0, 1.0}
     ranks = [rank_in_scores(t.scores, t.space.index(p)) for t, p in zip(tables, lists["input"])]
     assert report.hr["input"][10.0] == hit_ratio(ranks, 120, 10.0)
-    # a generator of tables, consumed once, gives the same report
-    assert pl.evaluate_rerankers(iter(tables), lists) == report
+    assert report.hr["input"][1.0] == hit_ratio(ranks, 120, 1.0)
+    assert report.mean_reward["input"] == float(np.mean(
+        [t.scores[t.space.index(p)] for t, p in zip(tables, lists["input"])]))
+    # keys built one record a pass give the same report
+    monkeypatch.setattr(ev, "SCORE_CHUNK", 1)
+    assert pl.evaluate_rerankers(pl.build_oracle_tables(
+        test, setup["eval_params"], setup["reward_cfg"], setup["e_user"][:40]), lists) == report
 
 
-def test_hr_report_of_no_records_is_nan():
-    report = pl.evaluate_rerankers([], {"input": []})
-    assert np.isnan(report.hr["input"][10.0]) and np.isnan(report.mean_reward["input"])
+def test_hr_report_rejects_a_missing_or_invalid_list(setup):
+    keys = pl.build_oracle_tables(setup["test"][:3], setup["eval_params"], setup["reward_cfg"],
+                                  setup["e_user"][:3])
+    with pytest.raises(ValueError, match="one list for each of the 3 records"):
+        pl.evaluate_rerankers(keys, {"input": [(0, 1, 2, 3, 4)] * 2})
+    with pytest.raises(ValueError, match="row 4"):
+        pl.evaluate_rerankers(keys, {"a": [(0, 1, 2, 3, 4)] * 3,
+                                     "b": [(0, 1, 2, 3, 4), (0, 1, 2, 3, 3), (4, 3, 2, 1, 0)]})
+
+
+def test_hr_report_of_no_records_is_nan(setup):
+    params = setup["eval_params"]
+    keys = pl.build_oracle_tables([], params, setup["reward_cfg"],
+                                  np.empty((0, params.dims.embed_dim)))
+    report = pl.evaluate_rerankers(keys, {"input": []})
+    assert np.isnan(report.hr["input"][10.0]) and np.isnan(report.hr["input"][1.0])
+    assert np.isnan(report.mean_reward["input"])
+
+
+def test_validation_keys_memory_does_not_grow_by_a_table_per_record():
+    """The train-gen HR callback keeps its validation keys for all of training:
+    they must grow O(records), not by a full oracle table per record."""
+    data = dataclasses.replace(wide_pool_config().data, seed=5, num_records=40)
+    records = generate_records(data)
+    dims = ev.ModelDims(item_vocab=data.num_items, cat_vocab=data.num_categories,
+                        brand_vocab=data.num_brands, list_size=data.list_size,
+                        num_candidates=data.num_candidates,
+                        history_sessions=data.history_sessions)
+    params = ev.EvaluatorParams.init(dims, RngStream(3))
+    e_user = ev.user_vectors(records, params)
+    table_bytes = PermutationSpace(12, 4).count * 8
+
+    def peak(count):
+        # a first call fills the per-(n, m) selection index cache outside the trace
+        pl.build_oracle_tables(records[:count], params, tr.RewardConfig(), e_user[:count])
+        tracemalloc.start()
+        try:
+            keys = pl.build_oracle_tables(records[:count], params, tr.RewardConfig(),
+                                          e_user[:count])
+            return tracemalloc.get_traced_memory()[1], keys
+        finally:
+            tracemalloc.stop()
+
+    (small, _), (large, keys) = peak(4), peak(32)
+    assert len(keys.key_scores) == 32
+    assert large - small < table_bytes, (small, large, table_bytes)
