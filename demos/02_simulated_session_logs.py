@@ -33,7 +33,7 @@ rec = records[0]
 print("\nfirst record: user", rec.user_id)
 print("  candidates (item ids):", rec.candidate_ids[:, 0].tolist())
 print("  exposed order:", rec.exposed.tolist(), "clicks:", rec.clicks.tolist())
-ctr = np.mean([r.clicks.mean() for r in records])
+ctr = records.clicks.mean()
 print(f"  empirical CTR over {len(records)} records: {ctr:.3f}")
 
 # --- how much can reordering gain? -------------------------------------------

@@ -25,11 +25,10 @@ for row in history:
           f"{row['logloss']:.4f}   {row['ndcg5']:.4f}")
 
 # position awareness: the same items, swapped, score differently
-rec = test[0]
-ids = rec.exposed_ids.copy()
+ids = test[0].exposed_ids.copy()
 swapped = ids.copy()
 swapped[[0, 4]] = swapped[[4, 0]]
-e_user = ev.user_vectors([rec], params)
+e_user = ev.user_vectors(test[:1], params)
 (base, after), (pcvr, _) = ev.scores_for_lists(np.stack([ids, swapped]),
                                                np.repeat(e_user, 2, axis=0), params)
 print("\npCTR of the logged order:   ", np.round(base, 3))

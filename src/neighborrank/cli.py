@@ -165,21 +165,17 @@ def cmd_rerank(cfg: Config, out_dir: Path) -> None:
                               _load_evaluator(cfg, out_dir))
     lists, traces = pl.rerank_records(test, gp, _gumbel_config(cfg),
                                       ev.user_vectors(test, gp.shared))
+    items = test.candidate_ids[..., 0]
+    columns = (test.exposed, lists, test.exposed_ids[..., 0], np.take_along_axis(items, lists, 1))
     path = out_dir / TRACE_FILE
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        for i, (rec, final, trace) in enumerate(zip(test, lists, traces)):
-            obj = {
-                "record": i,
-                "initial": [int(x) for x in rec.exposed],
-                "final": [int(x) for x in final],
-                "initial_items": [int(x) for x in rec.exposed_ids[:, 0]],
-                "final_items": [int(rec.candidate_ids[x, 0]) for x in final],
-                "stop_reason": trace.stop_reason,
-                "steps": trace.to_json(),
-            }
+        for i, (initial, final, initial_items, final_items, trace) in enumerate(
+                zip(*(c.tolist() for c in columns), traces)):
+            obj = {"record": i, "initial": initial, "final": final, "initial_items": initial_items,
+                   "final_items": final_items, "stop_reason": trace.stop_reason,
+                   "steps": trace.to_json()}
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    changed = sum(1 for rec, final in zip(test, lists)
-                  if tuple(rec.exposed) != tuple(final))
+    changed = int(np.count_nonzero((test.exposed != lists).any(axis=1)))
     print(f"wrote {len(lists)} reranked lists to {path} ({changed} changed)")
 
 

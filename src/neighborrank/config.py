@@ -108,6 +108,17 @@ _SECTIONS = {"data": DataConfig, "model": ModelSection,
              "training": TrainingSection, "paths": PathsSection}
 
 
+def _check_ints(cls, payload: dict, prefix: str) -> None:
+    """Fields annotated int, int | None or list[int] take integers only: a
+    float or a bool (which Python counts as an int) raises ConfigError."""
+    for f in dataclasses.fields(cls):
+        value = payload.get(f.name)
+        ok = {"int": type(value) is int, "int | None": type(value) is int or value is None,
+              "list[int]": type(value) in (list, tuple) and all(type(v) is int for v in value)}
+        if f.name in payload and not ok.get(f.type, True):
+            raise ConfigError(f"{prefix}.{f.name}: expected {f.type}, got {value!r}")
+
+
 def _build_section(cls, payload: dict, prefix: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{prefix}: expected an object")
@@ -115,6 +126,7 @@ def _build_section(cls, payload: dict, prefix: str):
     unknown = sorted(set(payload) - names)
     if unknown:
         raise ConfigError(f"unknown key {prefix}.{unknown[0]}")
+    _check_ints(cls, payload, prefix)
     try:
         return cls(**payload)
     except ConfigError:
@@ -128,7 +140,7 @@ def config_from_dict(payload: dict) -> Config:
         raise ConfigError("config root must be an object")
     if "version" not in payload:
         raise ConfigError("missing key version")
-    if payload["version"] != CONFIG_VERSION:
+    if type(payload["version"]) is not int or payload["version"] != CONFIG_VERSION:
         raise ConfigError(f"version: unsupported config version {payload['version']}")
     unknown = sorted(set(payload) - set(_SECTIONS) - {"version"})
     if unknown:
@@ -199,6 +211,7 @@ def set_by_dotted_key(cfg: Config, dotted: str, value) -> Config:
     section = getattr(cfg, section_name)
     if key not in {f.name for f in dataclasses.fields(section)}:
         raise ConfigError(f"sweep parameter {dotted!r} is not a config key")
+    _check_ints(type(section), {key: value}, section_name)
     try:
         new_section = dataclasses.replace(section, **{key: value})
     except ConfigError:

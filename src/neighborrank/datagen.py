@@ -7,16 +7,17 @@ the list cannibalize clicks. The cannibalization term makes the best ordering
 depend on list composition, so sorting by quality alone is measurably
 suboptimal and reranking has headroom.
 
-Datasets are written as JSONL (one record per line) with a sidecar manifest
-carrying the schema version and the 9:1 train/test split point. Latent
-quality never leaves this module: serialized records contain only ids and
-labels.
+Records are columns: one `Records` holds every field as an array with a
+leading record axis, from the simulator's blocks to every consumer. Datasets
+are written as JSONL (one record per line) with a sidecar manifest carrying
+the schema version and the 9:1 train/test split point. Latent quality never
+leaves this module: serialized records contain only ids and labels.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -124,23 +125,35 @@ class GroundTruthModel:
         return float(self.list_click_probs(item_ids, user_id).sum())
 
 
-@dataclass
-class InteractionRecord:
-    """One logged impression: history sessions, candidates, exposed list, labels."""
+@dataclass(eq=False)
+class Records:
+    """Logged impressions as columns, one leading record axis per field.
+    Indexing works as in numpy: an int gives one record (the same fields,
+    record axis dropped), a slice or an index array gives Records. Iterating
+    yields the records in order (indexing until numpy's IndexError)."""
 
-    user_id: int
-    session_ids: np.ndarray       # (H, m, 3) feature ids
-    session_clicks: np.ndarray    # (H, m)
-    session_convs: np.ndarray     # (H, m)
-    candidate_ids: np.ndarray     # (n, 3) feature ids
-    exposed: np.ndarray           # (m,) indices into candidates
-    clicks: np.ndarray            # (m,)
-    convs: np.ndarray             # (m,)
+    user_id: np.ndarray           # (N,)
+    session_ids: np.ndarray       # (N, H, m, 3) feature ids
+    session_clicks: np.ndarray    # (N, H, m)
+    session_convs: np.ndarray     # (N, H, m)
+    candidate_ids: np.ndarray     # (N, n, 3) feature ids
+    exposed: np.ndarray           # (N, m) indices into candidates
+    clicks: np.ndarray            # (N, m)
+    convs: np.ndarray             # (N, m)
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.user_id)
+
+    def __getitem__(self, at) -> "Records":
+        return Records(*(col[at] for col in self.columns()))
 
     @property
     def exposed_ids(self) -> np.ndarray:
-        """(m, 3) feature ids of the exposed list."""
-        return self.candidate_ids[self.exposed]
+        """(..., m, 3) feature ids of the exposed lists."""
+        return np.take_along_axis(self.candidate_ids, self.exposed[..., None], axis=-2)
 
 
 @dataclass
@@ -230,16 +243,17 @@ def _ranked_exposure(model: GroundTruthModel, pool: np.ndarray, aff: np.ndarray 
 SIM_BLOCK = 1 << 18   # pool draws (records x num_items) per lockstep pass; bounds the memory peak
 
 
-def generate_records(cfg: DataConfig, model: GroundTruthModel | None = None) -> list[InteractionRecord]:
+def generate_records(cfg: DataConfig, model: GroundTruthModel | None = None) -> Records:
     """Simulate the records in lockstep, SIM_BLOCK // num_items at a time:
     record i draws from the stream RngStream(seed).split("records").split(i)."""
     model = model or ground_truth(cfg)
     root, step = RngStream(cfg.seed).split("records"), max(1, SIM_BLOCK // model.catalog.num_items)
-    return [rec for start in range(0, cfg.num_records, step) for rec in _simulate(
-        cfg, model, root.split_rows(rows=np.arange(start, min(start + step, cfg.num_records))))]
+    blocks = [_simulate(cfg, model, root.split_rows(rows=np.arange(
+        start, min(start + step, cfg.num_records)))) for start in range(0, cfg.num_records, step)]
+    return Records(*map(np.concatenate, zip(*(b.columns() for b in blocks))))
 
 
-def _simulate(cfg: DataConfig, model: GroundTruthModel, rows: StreamRows) -> list[InteractionRecord]:
+def _simulate(cfg: DataConfig, model: GroundTruthModel, rows: StreamRows) -> Records:
     """The records of one block of stream rows."""
     cat, m = model.catalog, cfg.list_size
     u = rows.split("user").uniform((1,))[:, 0]
@@ -259,33 +273,19 @@ def _simulate(cfg: DataConfig, model: GroundTruthModel, rows: StreamRows) -> lis
     history = [session(rows.split("session", h), True) for h in range(cfg.history_sessions)]
     ses_ids, ses_clicks, ses_convs = (np.stack([s[k] for s in history], axis=1) for k in (2, 3, 4))
     pool, exposed, _, clicks, convs = session(rows.split("current"), False)
-    return [InteractionRecord(*fields) for fields in zip(
-        users.tolist(), ses_ids, ses_clicks, ses_convs, cat.feature_ids(pool), exposed, clicks, convs)]
+    return Records(users, ses_ids, ses_clicks, ses_convs, cat.feature_ids(pool), exposed, clicks, convs)
 
 
-def _record_to_json(rec: InteractionRecord) -> str:
-    sessions = []
-    for h in range(rec.session_ids.shape[0]):
-        sessions.append([
-            {
-                "item": int(rec.session_ids[h, j, 0]),
-                "cat": int(rec.session_ids[h, j, 1]),
-                "brand": int(rec.session_ids[h, j, 2]),
-                "click": int(rec.session_clicks[h, j]),
-                "conv": int(rec.session_convs[h, j]),
-            }
-            for j in range(rec.session_ids.shape[1])
-        ])
-    obj = {
-        "user_id": rec.user_id,
-        "sessions": sessions,
-        "candidates": [
-            {"item": int(r[0]), "cat": int(r[1]), "brand": int(r[2])} for r in rec.candidate_ids
-        ],
-        "exposed": [int(x) for x in rec.exposed],
-        "clicks": [int(x) for x in rec.clicks],
-        "convs": [int(x) for x in rec.convs],
-    }
+def _record_to_json(rec: Records) -> str:
+    """The JSONL line of one record, from its fields as Python ints."""
+    user, ses_ids, ses_clicks, ses_convs, cands, exposed, clicks, convs = (
+        col.tolist() for col in rec.columns())
+    sessions = [[{"item": i, "cat": c, "brand": b, "click": k, "conv": v}
+                 for (i, c, b), k, v in zip(*session)]
+                for session in zip(ses_ids, ses_clicks, ses_convs)]
+    obj = {"user_id": user, "sessions": sessions,
+           "candidates": [{"item": i, "cat": c, "brand": b} for i, c, b in cands],
+           "exposed": exposed, "clicks": clicks, "convs": convs}
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -294,7 +294,7 @@ def manifest_path(dataset_path) -> Path:
     return p.with_name(p.name + MANIFEST_SUFFIX)
 
 
-def write_dataset(records: list[InteractionRecord], cfg: DataConfig, path) -> Path:
+def write_dataset(records: Records, cfg: DataConfig, path) -> Path:
     """Write records as JSONL plus a sidecar manifest; returns the data path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -315,7 +315,7 @@ def write_dataset(records: list[InteractionRecord], cfg: DataConfig, path) -> Pa
     return path
 
 
-def gen_logs(cfg: DataConfig, path) -> tuple[list[InteractionRecord], list[InteractionRecord]]:
+def gen_logs(cfg: DataConfig, path) -> tuple[Records, Records]:
     """Generate, write and return the (train, test) record split."""
     records = generate_records(cfg)
     write_dataset(records, cfg, path)
@@ -328,26 +328,29 @@ def _in_range(values, bound: int) -> bool:
     return set(map(type, values)) == {int} and min(values) >= 0 and max(values) < bound
 
 
-def _ints(values, length: int, bound: int, what: str, fail) -> np.ndarray:
+def _ints(values, length: int, bound: int, what: str, fail) -> list[int]:
     if not (isinstance(values, list) and len(values) == length and _in_range(values, bound)):
         fail(f"field {what!r} must hold {length} integers in [0, {bound})")
-    return np.array(values, dtype=np.int64)
+    return values
 
 
-def _objects(items, length: int, fields: dict[str, int], what: str, fail) -> np.ndarray:
-    """(length, len(fields)) int64 array of each object's named integer
-    fields; each value must lie in [0, limit) of its field."""
+def _objects(items, length: int, names: dict[str, int], what: str, fail) -> list[list[int]]:
+    """Each object's named integer fields, `length` rows of len(names); each
+    value must lie in [0, limit) of its name."""
     if not (isinstance(items, list) and len(items) == length
             and all(isinstance(item, dict) for item in items)):
         fail(f"field {what!r} must hold {length} objects")
-    rows = [[item[name] for name in fields] for item in items]
-    for (name, limit), column in zip(fields.items(), zip(*rows)):
+    rows = [[item[name] for name in names] for item in items]
+    for (name, limit), column in zip(names.items(), zip(*rows)):
         if not _in_range(column, limit):
             fail(f"field {what!r}: every {name!r} must be an integer in [0, {limit})")
-    return np.array(rows, dtype=np.int64).reshape(length, len(fields))
+    return rows
 
 
-def _parse_record(obj, line_no: int, manifest: dict) -> InteractionRecord:
+def _parse_record(obj, line_no: int, manifest: dict) -> list[int]:
+    """One record's checked fields, flat: user_id, then the H * m session
+    items [item, cat, brand, click, conv], the n candidates [item, cat,
+    brand], exposed, clicks and convs."""
     def fail(msg: str):
         raise DatasetError(f"line {line_no}: {msg}")
 
@@ -361,22 +364,21 @@ def _parse_record(obj, line_no: int, manifest: dict) -> InteractionRecord:
             and all(isinstance(s, list) and len(s) == m for s in sessions)):
         fail(f"field 'sessions' must hold {H} sessions of {m} items")
     ses = _objects([it for s in sessions for it in s], H * m,
-                   {**features, "click": 2, "conv": 2}, "sessions", fail).reshape(H, m, 5)
-    if (ses[..., 4] > ses[..., 3]).any():  # labels are 0/1
+                   {**features, "click": 2, "conv": 2}, "sessions", fail)
+    if any(conv > click for *_, click, conv in ses):  # labels are 0/1
         fail("field 'sessions': conversion without click")
     exposed = _ints(obj.get("exposed"), m, n, "exposed", fail)
-    if len(set(exposed.tolist())) != m:
+    if len(set(exposed)) != m:
         fail("field 'exposed': duplicate candidate index")
     clicks = _ints(obj.get("clicks"), m, 2, "clicks", fail)
     convs = _ints(obj.get("convs"), m, 2, "convs", fail)
-    if (convs > clicks).any():
+    if any(conv > click for click, conv in zip(clicks, convs)):
         fail("field 'convs': conversion without click")
-    if type(obj.get("user_id")) is not int:
-        fail("field 'user_id' must be an integer")
-    return InteractionRecord(
-        user_id=obj["user_id"], session_ids=ses[..., :3], session_clicks=ses[..., 3],
-        session_convs=ses[..., 4], exposed=exposed, clicks=clicks, convs=convs,
-        candidate_ids=_objects(obj.get("candidates"), n, features, "candidates", fail))
+    user = obj.get("user_id")
+    if type(user) is not int or not -(2**63) <= user < 2**63:
+        fail("field 'user_id' must be a 64-bit integer")
+    cands = _objects(obj.get("candidates"), n, features, "candidates", fail)
+    return [user, *(v for row in ses + cands for v in row), *exposed, *clicks, *convs]
 
 
 def _read_manifest(mpath: Path) -> dict:
@@ -396,7 +398,7 @@ def _read_manifest(mpath: Path) -> dict:
     return manifest
 
 
-def load_dataset(path) -> tuple[list[InteractionRecord], dict]:
+def load_dataset(path) -> tuple[Records, dict]:
     """Load and validate a JSONL dataset; returns (records, manifest).
 
     Every malformed line or manifest raises DatasetError naming it,
@@ -408,7 +410,7 @@ def load_dataset(path) -> tuple[list[InteractionRecord], dict]:
     if not mpath.exists():
         raise DatasetError(f"manifest not found: {mpath}")
     manifest = _read_manifest(mpath)
-    records = []
+    rows = []
     with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -420,15 +422,19 @@ def load_dataset(path) -> tuple[list[InteractionRecord], dict]:
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"line {line_no}: malformed JSON ({exc.msg})") from exc
             try:
-                records.append(_parse_record(obj, line_no, manifest))
+                rows.append(_parse_record(obj, line_no, manifest))
             except KeyError as exc:
                 raise DatasetError(f"line {line_no}: missing field {exc}") from exc
-    if len(records) != manifest["num_records"]:
-        raise DatasetError(
-            f"{path}: {len(records)} records but manifest says {manifest['num_records']}"
-        )
-    return records, manifest
+    if len(rows) != manifest["num_records"]:
+        raise DatasetError(f"{path}: {len(rows)} records but manifest says {manifest['num_records']}")
+    H, m, n = manifest["history_sessions"], manifest["list_size"], manifest["num_candidates"]
+    widths = [1, 5 * H * m, 3 * n, m, m, m]
+    flat = np.array(rows, dtype=np.int64).reshape(len(rows), sum(widths))
+    user, ses, cand, exposed, clicks, convs = np.split(flat, np.cumsum(widths)[:-1], axis=1)
+    ses, cand = ses.reshape(len(rows), H, m, 5), cand.reshape(len(rows), n, 3)
+    return Records(user[:, 0], ses[..., :3], ses[..., 3], ses[..., 4], cand, exposed, clicks,
+                   convs), manifest
 
 
-def split_records(records: list[InteractionRecord], manifest: dict):
+def split_records(records: Records, manifest: dict) -> tuple[Records, Records]:
     return records[: manifest["num_train"]], records[manifest["num_train"] :]

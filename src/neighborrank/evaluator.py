@@ -21,7 +21,7 @@ from . import metrics
 from .autodiff import Tensor, no_grad
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .config import TrainingSection
-from .datagen import InteractionRecord
+from .datagen import Records
 from .optim import Adam, raise_if_unchanged
 from .params import Layout, ParamSet
 from .rng import RngStream
@@ -225,19 +225,17 @@ def slot_heads(h: Tensor, params: EvaluatorParams) -> tuple[Tensor, Tensor]:
         for k in ("ctr", "cvr"))
 
 
-def user_vectors(records: list[InteractionRecord], params: EvaluatorParams,
-                 batch: int = 512) -> np.ndarray:
-    """Frozen user vectors for many records, (N, D)."""
+SCORE_CHUNK = 1024   # lists per forward pass; bounds the activation peak
+
+
+def user_vectors(records: Records, params: EvaluatorParams) -> np.ndarray:
+    """Frozen user vectors for many records, (N, D), SCORE_CHUNK records a pass."""
     out = np.empty((len(records), params.dims.embed_dim))
     with no_grad():
-        for start in range(0, len(records), batch):
-            block = records[start : start + batch]
-            ids = np.stack([r.session_ids for r in block])
-            out[start : start + len(block)] = encode_sessions(ids, params).value
+        for start in range(0, len(records), SCORE_CHUNK):
+            blk = slice(start, start + SCORE_CHUNK)
+            out[blk] = encode_sessions(records.session_ids[blk], params).value
     return out
-
-
-SCORE_CHUNK = 1024   # lists per forward pass; bounds the activation peak
 
 
 def scores_for_lists(list_ids: np.ndarray, e_user: np.ndarray,
@@ -309,13 +307,11 @@ def loss_graph(pctr: Tensor, pcvr: Tensor, clicks: np.ndarray, convs: np.ndarray
     return ad.reduce_mean(total, axis=0)
 
 
-def evaluate_metrics(records: list[InteractionRecord], params: EvaluatorParams,
-                     e_user: np.ndarray) -> dict:
+def evaluate_metrics(records: Records, params: EvaluatorParams, e_user: np.ndarray) -> dict:
     """AUC, log loss and NDCG of the logged clicks, given the records' (N, D)
     user vectors."""
-    exposed = np.stack([r.exposed_ids for r in records])
-    pctr, _ = scores_for_lists(exposed, e_user, params)
-    clicks = np.stack([r.clicks for r in records])
+    pctr, _ = scores_for_lists(records.exposed_ids, e_user, params)
+    clicks = records.clicks
     auc = metrics.auc(pctr.ravel(), clicks.ravel())
     logloss = metrics.log_loss(pctr.ravel(), clicks.ravel())
     ndcg5 = metrics.mean_ignoring_undefined(metrics.ndcg_rows(pctr, clicks, 5))
@@ -323,9 +319,7 @@ def evaluate_metrics(records: list[InteractionRecord], params: EvaluatorParams,
     return {"auc": auc, "logloss": logloss, "ndcg5": ndcg5, "ndcg10": ndcg10}
 
 
-def train_evaluator(train_records: list[InteractionRecord],
-                    test_records: list[InteractionRecord],
-                    dims: ModelDims,
+def train_evaluator(train_records: Records, test_records: Records, dims: ModelDims,
                     training: TrainingSection) -> tuple[EvaluatorParams, list[dict]]:
     """Minibatch Adam training for `training.eval_epochs` epochs; returns the
     best-AUC snapshot and history.
@@ -341,10 +335,8 @@ def train_evaluator(train_records: list[InteractionRecord],
     params = EvaluatorParams.init(dims, rng.split("init"))
     opt = Adam(params.ps.trainable(), lr=training.lr)
 
-    exposed = np.stack([r.exposed_ids for r in train_records])
-    sessions = np.stack([r.session_ids for r in train_records])
-    clicks = np.stack([r.clicks for r in train_records]).astype(np.float64)
-    convs = np.stack([r.convs for r in train_records]).astype(np.float64)
+    exposed, sessions = train_records.exposed_ids, train_records.session_ids
+    clicks, convs = (a.astype(np.float64) for a in (train_records.clicks, train_records.convs))
     n = len(train_records)
 
     history: list[dict] = []

@@ -240,12 +240,12 @@ class GenerationTrace:
 
 def generate_batch(initial: np.ndarray, cand_ids: np.ndarray, e_user: np.ndarray,
                    gp: GeneratorParams, cfg: GumbelConfig
-                   ) -> tuple[list[tuple[int, ...]], list[GenerationTrace]]:
+                   ) -> tuple[np.ndarray, list[GenerationTrace]]:
     """Edit B lists, (B, m) candidate indices into (B, n, F) pools, until a
     stop rule fires for each: low confidence, then the same item, then max
     steps. Rows still walking step together, and one candidate-head call
-    scores each picked row's chosen slot. Returns each row's final list and
-    trace, which do not depend on the other rows."""
+    scores each picked row's chosen slot. Returns the (B, m) int64 final
+    lists and each row's trace, which do not depend on the other rows."""
     cfg = cfg.resolved(gp.dims)
     cur = np.array(initial, dtype=np.int64)
     if np.count_nonzero(cur[:, :, None] == cur[:, None, :]) != cur.size:
@@ -285,7 +285,7 @@ def generate_batch(initial: np.ndarray, cand_ids: np.ndarray, e_user: np.ndarray
             if not active.size:
                 break
             cur[active] = apply_move(cur[active], slots[moved], ks[moved])
-    return [tuple(row) for row in cur.tolist()], traces
+    return cur, traces
 
 
 def generate(initial_idx, candidate_ids: np.ndarray, session_ids: np.ndarray,
@@ -299,4 +299,4 @@ def generate(initial_idx, candidate_ids: np.ndarray, session_ids: np.ndarray,
             e_user = encode_sessions(session_ids[None, ...], gp.shared).value
     finals, traces = generate_batch(np.array([initial_idx]), candidate_ids[None, ...],
                                     np.reshape(e_user, (1, -1)), gp, cfg)
-    return finals[0], traces[0]
+    return tuple(finals[0].tolist()), traces[0]

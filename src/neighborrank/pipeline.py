@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluator
-from .datagen import InteractionRecord
+from .datagen import Records
 from .evaluator import EvaluatorParams, scores_for_lists, slot_tables
 from .generator import GeneratorParams, GenerationTrace, GumbelConfig, generate_batch
 from .metrics import MetricError, PermutationSpace, cutoff_keys, greedy_order, hit_cutoff
@@ -69,7 +69,7 @@ def _table_rows(candidate_ids: np.ndarray, e_user: np.ndarray, eval_params: Eval
     return list_reward(pctr, pcvr, reward_cfg), slots
 
 
-def oracle_table(record: InteractionRecord, eval_params: EvaluatorParams,
+def oracle_table(record: Records, eval_params: EvaluatorParams,
                  reward_cfg: RewardConfig, e_user: np.ndarray) -> OracleTable:
     """Shaped reward of every ordered slate drawn from the record's candidates."""
     space = _oracle_space(eval_params)
@@ -77,23 +77,22 @@ def oracle_table(record: InteractionRecord, eval_params: EvaluatorParams,
                                           eval_params, reward_cfg)[0][0])
 
 
-def greedy_rerank(records: list[InteractionRecord], eval_params: EvaluatorParams,
-                  e_user: np.ndarray) -> list[tuple[int, ...]]:
-    """Score each logged list once, then reorder its slots by descending pCTR."""
-    pctr, _ = scores_for_lists(np.stack([r.exposed_ids for r in records]), e_user, eval_params)
-    return [tuple(int(i) for i in rec.exposed[order])
-            for rec, order in zip(records, greedy_order(pctr))]
+def greedy_rerank(records: Records, eval_params: EvaluatorParams,
+                  e_user: np.ndarray) -> np.ndarray:
+    """Score each logged list once, then reorder its slots by descending pCTR:
+    (R, m) lists."""
+    pctr, _ = scores_for_lists(records.exposed_ids, e_user, eval_params)
+    return np.take_along_axis(records.exposed, greedy_order(pctr), axis=1)
 
 
-def build_oracle_tables(records: list[InteractionRecord], eval_params: EvaluatorParams,
+def build_oracle_tables(records: Records, eval_params: EvaluatorParams,
                         reward_cfg: RewardConfig, e_user: np.ndarray) -> OracleKeys:
     """Every record's oracle table, cut to its cutoff keys: as many records a
     pass as SCORE_CHUNK // m item sets hold (at least one), each block freed
     once keyed, so memory stays O(records)."""
     space = _oracle_space(eval_params)
     step = max(1, evaluator.SCORE_CHUNK // space.m // math.comb(space.n, space.m))
-    cand = np.array([r.candidate_ids for r in records], dtype=np.int64).reshape(
-        len(records), space.n, eval_params.dims.num_fields)
+    cand = records.candidate_ids
     cutoffs = [hit_cutoff(space.count, pct) for pct in HIT_PCTS]
     key_s = np.empty((len(records), len(cutoffs)))
     key_i = np.empty(key_s.shape, dtype=np.int64)
@@ -132,10 +131,10 @@ def list_rewards(keys: OracleKeys, lists: np.ndarray) -> np.ndarray:
     return list_reward(pctr[at], pcvr[at], keys.reward_cfg)
 
 
-def evaluate_rerankers(keys: OracleKeys,
-                       lists_by_model: dict[str, list[tuple[int, ...]]]) -> HrReport:
+def evaluate_rerankers(keys: OracleKeys, lists_by_model: dict[str, np.ndarray]) -> HrReport:
     """HR@10%, HR@1% and mean shaped reward of each model's list for every
-    record; a list hits when its (score, index) key is within the cutoff's."""
+    record, given (R, m) lists (or R tuples) per model; a list hits when its
+    (score, index) key is within the cutoff's."""
     r, models = len(keys.e_user), len(lists_by_model)
     if any(len(lists) != r for lists in lists_by_model.values()):
         raise MetricError(f"every model needs one list for each of the {r} records")
@@ -151,26 +150,23 @@ def evaluate_rerankers(keys: OracleKeys,
     return report
 
 
-def rerank_records(records: list[InteractionRecord], gp: GeneratorParams,
-                   cfg: GumbelConfig, e_user: np.ndarray
-                   ) -> tuple[list[tuple[int, ...]], list[GenerationTrace]]:
-    """Run the generator walk on every record at once (noise off: deterministic)."""
-    if not records:
-        return [], []
-    return generate_batch(np.stack([r.exposed for r in records]),
-                          np.stack([r.candidate_ids for r in records]), e_user,
+def rerank_records(records: Records, gp: GeneratorParams, cfg: GumbelConfig,
+                   e_user: np.ndarray) -> tuple[np.ndarray, list[GenerationTrace]]:
+    """Run the generator walk on every record at once (noise off: deterministic):
+    (R, m) final lists and their traces."""
+    return generate_batch(records.exposed, records.candidate_ids, e_user,
                           gp, dataclasses.replace(cfg, noise=False))
 
 
-def baseline_lists(records: list[InteractionRecord], eval_params: EvaluatorParams,
-                   seed: int, e_user: np.ndarray) -> dict[str, list[tuple[int, ...]]]:
-    """Input, random and greedy rerankers for a record set; record i's random list
-    is a permutation from RngStream(seed).split("random-baseline").split(i), cut to m."""
+def baseline_lists(records: Records, eval_params: EvaluatorParams,
+                   seed: int, e_user: np.ndarray) -> dict[str, np.ndarray]:
+    """Input, random and greedy rerankers' (R, m) lists for a record set;
+    record i's random list is a permutation from
+    RngStream(seed).split("random-baseline").split(i), cut to m."""
     dims = eval_params.dims
     rows = RngStream(seed).split("random-baseline").split_rows(rows=np.arange(len(records)))
     return {
-        "input": [tuple(int(x) for x in r.exposed) for r in records],
-        "random": [tuple(p) for p in
-                   rows.permutation(dims.num_candidates)[:, : dims.list_size].tolist()],
+        "input": records.exposed.copy(),
+        "random": rows.permutation(dims.num_candidates)[:, : dims.list_size],
         "greedy": greedy_rerank(records, eval_params, e_user),
     }

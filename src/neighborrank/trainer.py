@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import evaluator
 from .autodiff import Tensor
 from .config import TrainingSection
-from .datagen import InteractionRecord
+from .datagen import Records
 from .evaluator import (
     EvaluatorParams,
-    embed_lists,
     flatten_items,
     list_attention,
     scores_for_lists,
@@ -187,30 +187,27 @@ def fit_reward_scale(pctr: np.ndarray, pcvr: np.ndarray,
 class _TrainCache:
     """Frozen per-record quantities reused across epochs."""
 
-    def __init__(self, records: list[InteractionRecord], ev: EvaluatorParams):
-        dims = ev.dims
-        self.n_records = len(records)
-        self.exposed_idx = np.stack([r.exposed for r in records])              # (N, m)
-        self.cand_ids = np.stack([r.candidate_ids for r in records])           # (N, n, F)
-        self.e_user = user_vectors(records, ev)                                # (N, D)
-        exposed_ids = np.take_along_axis(self.cand_ids, self.exposed_idx[..., None], axis=1)
+    def __init__(self, records: Records, ev: EvaluatorParams):
+        dims, n = ev.dims, len(records)
+        self.n_records = n
+        self.exposed_idx, self.cand_ids = records.exposed, records.candidate_ids   # (N, m), (N, n, F)
+        self.e_user = user_vectors(records, ev)                                    # (N, D)
+        self.cand_flat = np.empty((n, dims.num_candidates, dims.flat_dim))
+        self.list_flat = np.empty((n, dims.list_size, dims.flat_dim))
+        self.e_list = np.empty((n, dims.embed_dim))
         with ad.no_grad():
-            self.cand_flat = np.empty((self.n_records, dims.num_candidates, dims.flat_dim))
-            self.list_flat = np.empty((self.n_records, dims.list_size, dims.flat_dim))
-            self.e_list = np.empty((self.n_records, dims.embed_dim))
-            batch = 512
-            for s in range(0, self.n_records, batch):
-                blk = slice(s, min(s + batch, self.n_records))
-                size = blk.stop - blk.start
+            for s in range(0, n, evaluator.SCORE_CHUNK):
+                blk = slice(s, s + evaluator.SCORE_CHUNK)
                 self.cand_flat[blk] = flatten_items(self.cand_ids[blk], ev).value
-                x = embed_lists(exposed_ids[blk], ev)
-                _, e_list = list_attention(x, ev)
-                self.list_flat[blk] = x.value.reshape(size, dims.list_size, dims.flat_dim)
-                self.e_list[blk] = e_list.value
-        self.exposed_pctr, self.exposed_pcvr = scores_for_lists(exposed_ids, self.e_user, ev)
+                # flatten_items is a lookup: an exposed list's rows are its candidates' rows
+                self.list_flat[blk] = np.take_along_axis(self.cand_flat[blk],
+                                                         self.exposed_idx[blk, :, None], axis=1)
+                x = self.list_flat[blk].reshape(-1, dims.list_size, dims.num_fields, dims.embed_dim)
+                self.e_list[blk] = list_attention(ad.constant(x), ev)[1].value
+        self.exposed_pctr, self.exposed_pcvr = scores_for_lists(records.exposed_ids, self.e_user, ev)
 
 
-def train_generator(train_records: list[InteractionRecord],
+def train_generator(train_records: Records,
                     eval_params: EvaluatorParams,
                     training: TrainingSection,
                     epoch_callback=None) -> tuple[GeneratorParams, list[dict], RewardConfig]:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from neighborrank import autodiff as ad
-from neighborrank import cli
+from neighborrank import cli, datagen
 from neighborrank.checkpoint import load_arrays, save_arrays
 from neighborrank.cli import main
 from neighborrank.config import load_config
@@ -252,6 +252,21 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ") and "non-finite" in proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
 
+    @pytest.mark.parametrize("command,section,values", [
+        ("gen-data", "data", {"num_records": 100.5}),
+        ("train-eval", "training", {"batch_size": 16.5}),
+        ("train-eval", "model", {"embed_dim": 4.5}),
+        ("train-eval", "model", {"mlp_hidden": [8.5]}),
+        ("train-eval", "training", {"eval_epochs": True}),
+    ])
+    def test_non_integer_in_an_integer_field_is_3(self, tmp_path, command, section, values):
+        cfg_path, _ = write_config(tmp_path, **{section: values})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([command, "--config", str(cfg_path)]) == 3
+        assert err.getvalue().startswith("error: config: ") and "expected" in err.getvalue()
+        assert err.getvalue().count("\n") == 1
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -272,14 +287,23 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
-    def test_dataset(self, pipeline_run, tmp_path):
+    def test_dataset(self, pipeline_run, tmp_path, monkeypatch):
         cfg_path, src = pipeline_run
         records, _ = load_dataset(src / "dataset.jsonl")
         out = copy_run(src, tmp_path / "data")
         before = sorted((p.name, p.read_bytes()) for p in out.iterdir())
         cfg = load_config(cfg_path).data
-        with pytest.raises(AttributeError):
-            write_dataset(records[:5] + [None], cfg, out / "dataset.jsonl")
+        lines = iter(range(len(records)))
+        record_to_json = datagen._record_to_json
+
+        def halfway(rec):   # the sixth record's line fails
+            if next(lines) == 5:
+                raise RuntimeError("halfway")
+            return record_to_json(rec)
+
+        monkeypatch.setattr(datagen, "_record_to_json", halfway)
+        with pytest.raises(RuntimeError, match="halfway"):
+            write_dataset(records, cfg, out / "dataset.jsonl")
         assert sorted((p.name, p.read_bytes()) for p in out.iterdir()) == before
 
 

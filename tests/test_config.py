@@ -67,12 +67,43 @@ def test_wrong_version():
     ("data", "list_size", 9, "list_size"),
     ("data", "position_slope", 0.0, "position_slope"),
     ("data", "num_brands", 0, "num_brands"),
+    # integer fields take integers only: no floats, integral or not, and no booleans
+    ("data", "seed", 7.0, "data.seed: expected int"),
+    ("data", "num_items", 200.5, "data.num_items: expected int"),
+    ("data", "num_categories", True, "data.num_categories: expected int"),
+    ("data", "num_brands", 12.0, "data.num_brands: expected int"),
+    ("data", "num_users", 400.5, "data.num_users: expected int"),
+    ("data", "history_sessions", 3.0, "data.history_sessions: expected int"),
+    ("data", "list_size", False, "data.list_size: expected int"),
+    ("data", "num_candidates", 5.5, "data.num_candidates: expected int"),
+    ("data", "num_records", 100.5, "data.num_records: expected int"),
+    ("model", "embed_dim", 4.5, "model.embed_dim: expected int"),
+    ("model", "num_fields", 3.0, "model.num_fields: expected int"),
+    ("model", "mlp_hidden", [8.5], r"model.mlp_hidden: expected list\[int\]"),
+    ("training", "batch_size", 16.5, "training.batch_size: expected int"),
+    ("training", "eval_epochs", True, "training.eval_epochs: expected int"),
+    ("training", "gen_epochs", 2.0, "training.gen_epochs: expected int"),
+    ("training", "max_steps", 1.5, r"training.max_steps: expected int \| None"),
+    ("training", "hr_validation_records", 10.0, "training.hr_validation_records: expected int"),
+    ("training", "seed", False, "training.seed: expected int"),
 ])
 def test_validation_errors(section, key, value, hint):
     keys = key if isinstance(key, tuple) else (key,)
     payload = {"version": 1, section: dict.fromkeys(keys, value)}
     with pytest.raises(ConfigError, match=hint):
         config_from_dict(payload)
+
+
+def test_integer_fields_reject_floats_and_bools_everywhere():
+    assert config_from_dict({"version": 1, "model": {"mlp_hidden": [8, 4]},
+                             "training": {"max_steps": None, "alpha": 1}}).training.alpha == 1
+    for bad in ([8, True], (8.0, 4), 8, "8"):
+        with pytest.raises(ConfigError, match="model.mlp_hidden: expected list"):
+            config_from_dict({"version": 1, "model": {"mlp_hidden": bad}})
+    with pytest.raises(ConfigError, match="unsupported config version 1.0"):
+        config_from_dict({"version": 1.0})
+    with pytest.raises(ConfigError, match="training.gen_epochs: expected int"):
+        set_by_dotted_key(default_config(), "training.gen_epochs", 2.0)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 1, 2, 5])

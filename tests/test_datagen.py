@@ -150,13 +150,26 @@ def test_round_trip(tmp_path):
     assert manifest["num_records"] == 40
     train, test = split_records(loaded, manifest)
     assert len(train) == 36 and len(test) == 4
-    for a, b in zip(records, loaded):
-        assert a.user_id == b.user_id
-        assert np.array_equal(a.session_ids, b.session_ids)
-        assert np.array_equal(a.candidate_ids, b.candidate_ids)
-        assert np.array_equal(a.exposed, b.exposed)
-        assert np.array_equal(a.clicks, b.clicks)
-        assert np.array_equal(a.convs, b.convs)
+    for f in dataclasses.fields(datagen.Records):
+        a, b = getattr(records, f.name), getattr(loaded, f.name)
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape and a.shape[0] == 40, f.name
+        assert np.array_equal(a, b), f.name
+    # rows, slices, iteration and the split all read the same columns
+    H, m, n = cfg.history_sessions, cfg.list_size, cfg.num_candidates
+    rows = list(loaded)
+    assert len(rows) == len(loaded) == 40
+    for i in (0, 17, 39):
+        for rec in (loaded[i], rows[i], (train if i < 36 else test)[i % 36]):
+            for f in dataclasses.fields(datagen.Records):
+                assert np.array_equal(getattr(rec, f.name), getattr(records, f.name)[i]), f.name
+            assert rec.session_ids.shape == (H, m, 3) and rec.candidate_ids.shape == (n, 3)
+            assert np.array_equal(rec.exposed_ids, rec.candidate_ids[rec.exposed])
+    part = loaded[5:9]
+    assert isinstance(part, datagen.Records) and len(part) == 4
+    assert np.array_equal(part.exposed_ids, np.stack([r.exposed_ids for r in rows[5:9]]))
+    assert np.array_equal(train.clicks, records.clicks[:36])
+    assert np.array_equal(test.candidate_ids, records.candidate_ids[36:])
+    assert np.array_equal(loaded[[3, 1]].user_id, records.user_id[[3, 1]])
 
 
 def test_load_rejects_conversion_without_click(tmp_path):
@@ -326,10 +339,10 @@ def reference_generate_records(cfg, model):
         pool_pos = {int(item): idx for idx, item in enumerate(pool)}
         exposed = np.array([pool_pos[int(item)] for item in shown], dtype=np.int64)
         clicks, convs = reference_sample_labels(model, shown, user_id, cs.split("labels"))
-        records.append(datagen.InteractionRecord(
-            int(user_id), ses_ids, ses_clicks, ses_convs, cat.feature_ids(pool), exposed,
-            clicks, convs))
-    return records
+        records.append((int(user_id), ses_ids, ses_clicks, ses_convs, cat.feature_ids(pool),
+                        exposed, clicks, convs))
+    # the per-record fields stacked into columns (the user ids' column is int64)
+    return datagen.Records(*map(np.stack, zip(*records)))
 
 
 @st.composite
@@ -356,13 +369,11 @@ def test_lockstep_simulator_matches_per_record_reference(cfg, block_rows):
         got = generate_records(cfg, model)
     want = reference_generate_records(cfg, model)
     assert len(got) == len(want) == cfg.num_records
-    for a, b in zip(got, want):
-        for f in dataclasses.fields(datagen.InteractionRecord):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            assert type(x) is type(y), f.name
-            assert np.array_equal(x, y) and np.shape(x) == np.shape(y), f.name
-            if isinstance(x, np.ndarray):
-                assert x.dtype == y.dtype, f.name
+    for f in dataclasses.fields(datagen.Records):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        assert type(x) is type(y) is np.ndarray, f.name
+        assert np.array_equal(x, y) and x.shape == y.shape, f.name
+        assert x.dtype == y.dtype == np.int64, f.name
 
 
 def test_affinity_is_one_row_of_the_user_table():

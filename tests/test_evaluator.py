@@ -139,6 +139,19 @@ def session_scores(list_ids, session_ids, params):
     return ev.scores_for_lists(list_ids, ev.encode_sessions(session_ids, params).value, params)
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_user_vectors_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    _, train, _ = small_dataset(num_records=40)
+    params = make_params(tiny_dims(item_vocab=30, brand_vocab=5, list_size=3, num_candidates=3,
+                                   history_sessions=2, embed_dim=4))
+    want = ev.user_vectors(train, params)
+    monkeypatch.setattr(ev, "SCORE_CHUNK", chunk)
+    got = ev.user_vectors(train, params)
+    assert got.shape == (36, 4) and np.array_equal(got, want)
+    with ad.no_grad():
+        assert np.array_equal(want, ev.encode_sessions(train.session_ids, params).value)
+
+
 class TestPredict:
     def test_outputs_in_unit_interval(self):
         params = make_params()
@@ -337,11 +350,10 @@ class TestTraining:
                             history_sessions=cfg.history_sessions,
                             embed_dim=4, mlp_hidden=(16, 8))
         params, _ = ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=3, seed=1))
-        rec = test[0]
-        ids = rec.exposed_ids.copy()
+        ids = test[0].exposed_ids.copy()
         swapped = ids.copy()
         swapped[[0, 2]] = swapped[[2, 0]]
-        e_user = ev.user_vectors([rec], params)
+        e_user = ev.user_vectors(test[:1], params)
         base, _ = ev.scores_for_lists(ids[None], e_user, params)
         after, _ = ev.scores_for_lists(swapped[None], e_user, params)
         assert abs(base[0, 0] - after[0, 0]) > 1e-6

@@ -336,11 +336,13 @@ class TestGenerateBatch:
         initial = np.stack([RngStream(45).split(i).choice(n, m) for i in range(records)])
         cfg = gen.GumbelConfig(tau=1.0, noise=False, theta_p=0.45, theta_c=0.55, max_steps=3)
         finals, traces = gen.generate_batch(initial, cand, e_user, gp, cfg)
+        assert finals.shape == (records, m) and finals.dtype == np.int64
         for i in range(records):
             ref_final, ref_trace = reference_generate(initial[i], cand[i], e_user[i], gp, cfg)
-            assert finals[i] == ref_final
+            assert tuple(finals[i].tolist()) == ref_final
             assert traces[i].to_json() == ref_trace.to_json()
             single = gen.generate(initial[i], cand[i], None, gp, cfg, e_user=e_user[i])
+            assert type(single[0]) is tuple and all(type(x) is int for x in single[0])
             assert single[0] == ref_final and single[1].to_json() == ref_trace.to_json()
         reasons = {t.stop_reason for t in traces}
         assert reasons == {"low-confidence", "same-item", "max-steps"}

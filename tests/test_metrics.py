@@ -236,13 +236,13 @@ def oracle_inputs(num_candidates: int, list_size: int, mlp_hidden=(8,), record=0
     """One simulated record and a randomly initialised evaluator for it."""
     cfg = DataConfig(seed=3, num_items=30, num_categories=4, num_brands=5, num_users=10,
                      num_records=2, num_candidates=num_candidates, list_size=list_size)
-    rec = generate_records(cfg)[record]
+    recs = generate_records(cfg)[record : record + 1]
     dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
                         brand_vocab=cfg.num_brands, list_size=list_size,
                         num_candidates=num_candidates, history_sessions=cfg.history_sessions,
                         embed_dim=4, mlp_hidden=mlp_hidden)
     params = ev.EvaluatorParams.init(dims, RngStream(5), std=0.5)
-    return rec, params, ev.user_vectors([rec], params)[0]
+    return recs[0], params, ev.user_vectors(recs, params)[0]
 
 
 def enumerated_oracle_scores(record, params, reward_cfg, e_user):
@@ -466,11 +466,11 @@ class TestBlockedOracle:
     @pytest.mark.parametrize("case", list(CASES))
     def test_list_reward_through_its_own_set_equals_table_entry(self, monkeypatch, case, chunk):
         n, m, _ = self.CASES[case]
-        [rec], params, e_user = self.inputs(n, m, 1)
+        recs, params, e_user = self.inputs(n, m, 1)
         if chunk is not None:
             monkeypatch.setattr(ev, "SCORE_CHUNK", chunk)
-        table = oracle_table(rec, params, RewardConfig(), e_user[0])
-        keys = pl.build_oracle_tables([rec], params, RewardConfig(), e_user)
+        table = oracle_table(recs[0], params, RewardConfig(), e_user[0])
+        keys = pl.build_oracle_tables(recs, params, RewardConfig(), e_user)
         assert keys.kept_slot_tables.shape == ((2, 1, m, m) if n == m else (2, 0, m, m))
         perms = np.array(all_selections(n, m), dtype=np.int64)[::-1]   # not in table order
         want = table.scores[table.space.index(perms)]

@@ -61,12 +61,32 @@ def test_greedy_output_is_permutation_of_input(setup):
 
 
 def test_greedy_sorted_input_unchanged(setup):
-    rec = setup["test"][0]
+    first = setup["test"][:1]
     e_user = setup["e_user"][:1]
-    [once] = pl.greedy_rerank([rec], setup["eval_params"], e_user)
-    reordered = dataclasses.replace(rec, exposed=np.asarray(once, dtype=np.int64))
-    [twice] = pl.greedy_rerank([reordered], setup["eval_params"], e_user)
-    assert twice == once
+    once = pl.greedy_rerank(first, setup["eval_params"], e_user)
+    twice = pl.greedy_rerank(dataclasses.replace(first, exposed=once), setup["eval_params"],
+                             e_user)
+    assert np.array_equal(twice, once)
+
+
+def test_proposed_lists_are_int64_arrays_and_score_as_tuples(setup):
+    test, e_user, m = setup["test"][:60], setup["e_user"][:60], setup["cfg"].list_size
+    gcfg = GumbelConfig(tau=0.3, noise=False)
+    lists = pl.baseline_lists(test, setup["eval_params"], 5, e_user)
+    lists["generator"], traces = pl.rerank_records(test, setup["gp"], gcfg, e_user)
+    assert set(lists) == {"input", "random", "greedy", "generator"} and len(traces) == 60
+    for model, got in lists.items():
+        assert isinstance(got, np.ndarray) and got.shape == (60, m) and got.dtype == np.int64, model
+    assert np.array_equal(lists["greedy"], pl.greedy_rerank(test, setup["eval_params"], e_user))
+    assert np.array_equal(lists["input"], test.exposed)
+    empty, no_traces = pl.rerank_records(test[:0], setup["gp"], gcfg, e_user[:0])
+    assert empty.shape == (0, m) and empty.dtype == np.int64 and no_traces == []
+    # the same lists as R tuples per model give an equal report
+    keys = pl.build_oracle_tables(test, setup["eval_params"], setup["reward_cfg"], e_user)
+    report = pl.evaluate_rerankers(keys, lists)
+    tuples = {model: [tuple(row) for row in got.tolist()] for model, got in lists.items()}
+    assert pl.evaluate_rerankers(keys, tuples) == report
+    assert all(np.isfinite(list(hr.values())).all() for hr in report.hr.values())
 
 
 def test_oracle_table_extremes(setup):
@@ -110,8 +130,8 @@ def test_generated_reward_not_below_input_for_majority(setup):
     test, keys = setup["test"], setup["keys"]
     gcfg = GumbelConfig(tau=0.3, noise=False)
     gen_lists, _ = pl.rerank_records(test, setup["gp"], gcfg, setup["e_user"])
-    r_gen = pl.list_rewards(keys, np.array(gen_lists, dtype=np.int64))
-    r_in = pl.list_rewards(keys, np.stack([rec.exposed for rec in test]))
+    r_gen = pl.list_rewards(keys, gen_lists)
+    r_in = pl.list_rewards(keys, test.exposed)
     wins = int(np.count_nonzero(r_gen >= r_in))
     assert wins / len(test) > 0.5
     # each is the record's table entry, bit for bit
@@ -131,10 +151,10 @@ def test_random_baseline_matches_per_record_streams(n, m):
     params = ev.EvaluatorParams.init(dims, RngStream(1))
     got = pl.baseline_lists(records, params, 7, ev.user_vectors(records, params))["random"]
     rng = RngStream(7).split("random-baseline")
-    assert got == [tuple(int(x) for x in rng.split(i).permutation(n)[:m])
-                   for i in range(len(records))]
-    assert all(type(x) is int for perm in got for x in perm)
-    assert len(set(got)) > 1
+    assert got.dtype == np.int64 and got.shape == (len(records), m)
+    assert got.tolist() == [rng.split(i).permutation(n)[:m].tolist()
+                            for i in range(len(records))]
+    assert len(set(map(tuple, got.tolist()))) > 1
 
 
 def test_hr_report_structure(setup, monkeypatch):
@@ -167,7 +187,7 @@ def test_hr_report_rejects_a_missing_or_invalid_list(setup):
 
 def test_hr_report_of_no_records_is_nan(setup):
     params = setup["eval_params"]
-    keys = pl.build_oracle_tables([], params, setup["reward_cfg"],
+    keys = pl.build_oracle_tables(setup["test"][:0], params, setup["reward_cfg"],
                                   np.empty((0, params.dims.embed_dim)))
     report = pl.evaluate_rerankers(keys, {"input": []})
     assert np.isnan(report.hr["input"][10.0]) and np.isnan(report.hr["input"][1.0])

@@ -409,6 +409,28 @@ def test_batch_rewards_match_per_record_loop(beta, n_candidates):
     assert np.count_nonzero(got[0]) > 0
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_train_cache_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    """Every cached array of a chunked pass equals the default pass exactly,
+    and each exposed list's rows equal the embedding of its own items."""
+    data = DataConfig(seed=4, num_items=30, num_categories=4, num_brands=5, num_users=20,
+                      history_sessions=2, list_size=4, num_candidates=6, num_records=40)
+    records = generate_records(data)
+    dims = ev.ModelDims(item_vocab=30, cat_vocab=4, brand_vocab=5, list_size=4,
+                        num_candidates=6, history_sessions=2, embed_dim=4, mlp_hidden=(8,))
+    params = ev.EvaluatorParams.init(dims, RngStream(1), std=0.5)
+    want = tr._TrainCache(records, params)
+    with ad.no_grad():
+        x = ev.embed_lists(records.exposed_ids, params)
+        assert np.array_equal(want.list_flat, ev.flatten_items(records.exposed_ids, params).value)
+        assert np.array_equal(want.e_list, ev.list_attention(x, params)[1].value)
+    monkeypatch.setattr(ev, "SCORE_CHUNK", chunk)
+    got = tr._TrainCache(records, params)
+    for name in ("exposed_idx", "cand_ids", "e_user", "cand_flat", "list_flat", "e_list",
+                 "exposed_pctr", "exposed_pcvr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 # Test-only copies of the per-slot generator heads, forward loop and m-term
 # loss that the one-graph _batch_forward and counterfactual_reward_loss
 # replaced; the new path must match them at rounding level.
