@@ -239,8 +239,8 @@ def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
     unknown = sorted(set(payload) - {"version", "param", "values", "base"})
     if unknown:
         raise ConfigError(f"sweep spec: unknown key {unknown[0]}")
-    if payload["version"] != 1:
-        raise ConfigError(f"sweep spec: unsupported version {payload['version']}")
+    if type(payload["version"]) is not int or payload["version"] != 1:
+        raise ConfigError(f"sweep spec: version: expected 1, got {payload['version']!r}")
     base = config_from_dict(payload["base"])
     param, values = payload["param"], payload["values"]
     if not isinstance(values, list) or not values:

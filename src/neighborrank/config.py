@@ -108,14 +108,21 @@ _SECTIONS = {"data": DataConfig, "model": ModelSection,
              "training": TrainingSection, "paths": PathsSection}
 
 
-def _check_ints(cls, payload: dict, prefix: str) -> None:
-    """Fields annotated int, int | None or list[int] take integers only: a
-    float or a bool (which Python counts as an int) raises ConfigError."""
+# the JSON values a field annotated with each base type takes: a bool (which
+# Python counts as an int) is none of them, and an int is also a float
+_TAKES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_types(cls, payload: dict, prefix: str) -> None:
+    """Every field in payload must hold what its annotation names: T, T | None
+    (also None) or list[T] (a list or tuple of T); otherwise ConfigError."""
     for f in dataclasses.fields(cls):
-        value = payload.get(f.name)
-        ok = {"int": type(value) is int, "int | None": type(value) is int or value is None,
-              "list[int]": type(value) in (list, tuple) and all(type(v) is int for v in value)}
-        if f.name in payload and not ok.get(f.type, True):
+        value, base = payload.get(f.name), f.type.removesuffix(" | None")
+        if base.startswith("list["):
+            ok = type(value) in (list, tuple) and all(type(v) in _TAKES[base[5:-1]] for v in value)
+        else:
+            ok = type(value) in _TAKES[base] or (value is None and base != f.type)
+        if f.name in payload and not ok:
             raise ConfigError(f"{prefix}.{f.name}: expected {f.type}, got {value!r}")
 
 
@@ -126,7 +133,7 @@ def _build_section(cls, payload: dict, prefix: str):
     unknown = sorted(set(payload) - names)
     if unknown:
         raise ConfigError(f"unknown key {prefix}.{unknown[0]}")
-    _check_ints(cls, payload, prefix)
+    _check_types(cls, payload, prefix)
     try:
         return cls(**payload)
     except ConfigError:
@@ -211,7 +218,7 @@ def set_by_dotted_key(cfg: Config, dotted: str, value) -> Config:
     section = getattr(cfg, section_name)
     if key not in {f.name for f in dataclasses.fields(section)}:
         raise ConfigError(f"sweep parameter {dotted!r} is not a config key")
-    _check_ints(type(section), {key: value}, section_name)
+    _check_types(type(section), {key: value}, section_name)
     try:
         new_section = dataclasses.replace(section, **{key: value})
     except ConfigError:

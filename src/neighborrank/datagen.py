@@ -114,16 +114,6 @@ class GroundTruthModel:
         z = self.conversion_intercept + self.conversion_scale * (qual + taste)
         return 0.5 * (1.0 + np.tanh(0.5 * logits)), 0.5 * (1.0 + np.tanh(0.5 * z))
 
-    def list_click_probs(self, item_ids, user_id: int) -> np.ndarray:
-        """Click probability at every position of an ordered list."""
-        return self.click_model(np.asarray(item_ids)[None], self.affinity(user_id)[None])[0][0]
-
-    def conversion_prob(self, item_id: int, user_id: int) -> float:
-        return float(self.click_model(np.array([[item_id]]), self.affinity(user_id)[None])[1][0, 0])
-
-    def expected_clicks(self, item_ids, user_id: int) -> float:
-        return float(self.list_click_probs(item_ids, user_id).sum())
-
 
 @dataclass(eq=False)
 class Records:

@@ -175,13 +175,6 @@ def within_cutoff(score, index, key_score, key_index) -> np.ndarray:
     return (score > key_score) | ((score == key_score) & (index <= key_index))
 
 
-def hit_ratio(ranks: Sequence[int], count: int, pct: float) -> float:
-    """Fraction of records whose rank among `count` lists lands within the
-    top pct% cutoff; NaN when there are no records."""
-    ranks = np.asarray(ranks, dtype=np.int64)
-    return float(np.mean(ranks <= hit_cutoff(count, pct))) if ranks.size else float("nan")
-
-
 def greedy_order(pctr: np.ndarray) -> np.ndarray:
     """Reorder positions by descending predicted click rate, stable on ties."""
     return np.argsort(-np.asarray(pctr, dtype=np.float64), kind="mergesort")

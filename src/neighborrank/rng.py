@@ -5,6 +5,9 @@ reconstructed from two integers and identical (seed, counter) pairs produce
 identical sequences on any platform. Streams are split by hashing string/int
 tags into a child seed, which keeps data generation, sampling noise and
 parameter init statistically independent without shared mutable state.
+
+`StreamRows` is the one SplitMix64 implementation: many streams drawn in
+lockstep on uint64 arrays. `RngStream` is its one-row view.
 """
 from __future__ import annotations
 
@@ -14,11 +17,9 @@ import numpy as np
 
 _U64 = np.uint64
 _GOLDEN_INT = 0x9E3779B97F4A7C15
-_MIX1_INT = 0xBF58476D1CE4E5B9
-_MIX2_INT = 0x94D049BB133111EB
 _GOLDEN = _U64(_GOLDEN_INT)
-_MIX1 = _U64(_MIX1_INT)
-_MIX2 = _U64(_MIX2_INT)
+_MIX1 = _U64(0xBF58476D1CE4E5B9)
+_MIX2 = _U64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INV53 = float(2.0**-53)
 
@@ -31,38 +32,17 @@ def _finalize(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _U64(31))
 
 
-def _finalize_int(x: int) -> int:
-    # The same output function on one value, as 64-bit-masked Python ints.
-    x = ((x ^ (x >> 30)) * _MIX1_INT) & _MASK
-    x = ((x ^ (x >> 27)) * _MIX2_INT) & _MASK
-    return x ^ (x >> 31)
-
-
-def _mix_pair(a: int, b: int) -> int:
-    return _finalize_int((a + ((b * _GOLDEN_INT) & _MASK)) & _MASK)
-
-
 def _mix_rows(a: np.ndarray, b) -> np.ndarray:
-    # _mix_pair on a uint64 array, with one int tag or an array of tags
+    # finalize(a + b * golden) on a uint64 array, with one int tag or an array of tags
     b = b.astype(np.uint64) * _GOLDEN if isinstance(b, np.ndarray) else _U64((b * _GOLDEN_INT) & _MASK)
     return _finalize(a + b)
 
 
-def _unit(raw: np.ndarray) -> np.ndarray:
-    """Raw 64-bit draws to uniforms on the open interval (0, 1)."""
-    return ((raw >> _U64(11)).astype(np.float64) + 0.5) * _INV53
-
-
-def _box_muller(u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
-    """n standard normals along the last axis from paired uniforms."""
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * math.pi * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
-
-
-def _size(shape) -> int:
-    """Element count of an int or tuple shape."""
-    return int(shape) if isinstance(shape, (int, np.integer)) else int(math.prod(shape))
+def _shape(shape) -> tuple:
+    """An int or tuple shape as a tuple; None (one scalar draw) as (1,)."""
+    if shape is None:
+        return (1,)
+    return (int(shape),) if isinstance(shape, (int, np.integer)) else tuple(shape)
 
 
 def _token_to_int(token) -> int:
@@ -77,7 +57,9 @@ def _token_to_int(token) -> int:
 
 
 class RngStream:
-    """A deterministic stream identified by (seed, counter)."""
+    """A deterministic stream identified by (seed, counter): row 0 of a
+    one-row StreamRows. Each method draws that row, then moves the counter
+    past what it drew; shape None gives a Python scalar."""
 
     __slots__ = ("seed", "counter")
 
@@ -85,56 +67,46 @@ class RngStream:
         self.seed = int(seed) & _MASK
         self.counter = int(counter)
 
+    def lockstep(self, draw, *args):
+        """draw(StreamRows([seed], counter), *args), whose row 0 is this
+        stream; the counter then moves past what the draw consumed."""
+        rows = StreamRows([self.seed], self.counter)
+        out = draw(rows, *args)
+        self.counter = rows.counter
+        return out
+
+    def _row(self, draw, shape, *args):
+        """Row 0 of draw(*args, shape); a Python scalar when shape is None."""
+        row = self.lockstep(draw, *args, _shape(shape))[0]
+        return row.item() if shape is None else row
+
     def split(self, *tags) -> "RngStream":
         """Derive an independent child stream from hashable tags."""
-        child = _mix_pair(self.seed, 0x5851F42D4C957F2D)
-        for tag in tags:
-            child = _mix_pair(child, _token_to_int(tag))
-        return RngStream(child, 0)
+        return RngStream(int(self.lockstep(StreamRows.split, *tags).seeds[0, 0]))
 
     def split_rows(self, *tags, rows) -> "StreamRows":
         """Child streams self.split(*tags, r) for every int r in `rows`: the
         shared prefix once, then one array mix over the row tags."""
         return StreamRows(_mix_rows(_U64(self.split(*tags).seed), np.asarray(rows)))
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
-        return _finalize(_U64(self.seed) + idx * _GOLDEN)
-
-    def uniform(self, shape=None) -> np.ndarray | float:
+    def uniform(self, shape=None):
         """Uniform draws on the open interval (0, 1)."""
-        n = 1 if shape is None else _size(shape)
-        u = _unit(self._raw(n))
-        if shape is None:
-            return float(u[0])
-        return u.reshape(shape)
+        return self._row(StreamRows.uniform, shape)
 
     def normal(self, shape=None, mean: float = 0.0, std: float = 1.0):
-        n = 1 if shape is None else _size(shape)
-        pairs = (n + 1) // 2
-        u1 = self.uniform((pairs,))
-        z = mean + std * _box_muller(u1, self.uniform((pairs,)), n)
-        if shape is None:
-            return float(z[0])
-        return z.reshape(shape)
+        return mean + std * self._row(StreamRows.normal, shape)
 
     def gumbel(self, shape=None):
         """Standard Gumbel noise, -log(-log(u)) with u in (0, 1)."""
-        u = self.uniform(shape)
-        return -np.log(-np.log(u))
+        return self._row(StreamRows.gumbel, shape)
 
     def integers(self, low: int, high: int, shape=None):
         """Uniform integers in [low, high)."""
-        if high <= low:
-            raise ValueError(f"empty integer range [{low}, {high})")
-        out = np.floor(self.uniform(shape) * (high - low)).astype(np.int64) + low
-        out = np.minimum(out, high - 1)
-        return int(out) if shape is None else out
+        return self._row(StreamRows.integers, shape, low, high)
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n)."""
-        return np.argsort(self._raw(n), kind="stable").astype(np.int64)
+        return self.lockstep(StreamRows.permutation, n)[0]
 
     def choice(self, n: int, k: int) -> np.ndarray:
         """k distinct indices sampled uniformly from range(n)."""
@@ -166,17 +138,27 @@ class StreamRows:
         return _finalize(self.seeds + idx * _GOLDEN)
 
     def uniform(self, shape: tuple) -> np.ndarray:
-        return _unit(self._raw(math.prod(shape))).reshape(len(self.seeds), *shape)
+        """On the open interval (0, 1): the top 53 bits of each raw draw, centred."""
+        u = ((self._raw(math.prod(shape)) >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+        return u.reshape(len(self.seeds), *shape)
 
     def normal(self, shape: tuple) -> np.ndarray:
-        """RngStream.normal per row: u1 then u2, Box-Muller over the flat draw."""
+        """Box-Muller per row over the flat draw: u1 for every pair, then u2."""
         n = math.prod(shape)
         pairs = (n + 1) // 2
-        u1 = self.uniform((pairs,))
-        return _box_muller(u1, self.uniform((pairs,)), n).reshape(len(self.seeds), *shape)
+        u1, u2 = self.uniform((pairs,)), self.uniform((pairs,))
+        r, theta = np.sqrt(-2.0 * np.log(u1)), 2.0 * math.pi * u2
+        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :n]
+        return z.reshape(len(self.seeds), *shape)
 
     def gumbel(self, shape: tuple) -> np.ndarray:
         return -np.log(-np.log(self.uniform(shape)))
+
+    def integers(self, low: int, high: int, shape: tuple) -> np.ndarray:
+        if high <= low:
+            raise ValueError(f"empty integer range [{low}, {high})")
+        out = np.floor(self.uniform(shape) * (high - low)).astype(np.int64) + low
+        return np.minimum(out, high - 1)
 
     def permutation(self, n: int) -> np.ndarray:
         return np.argsort(self._raw(n), axis=1, kind="stable")

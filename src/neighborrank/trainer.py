@@ -113,10 +113,7 @@ def neighbor_edits(origins: np.ndarray, num_candidates: int, beta: float,
         positions = np.sort(streams.permutation(m)[:, :count], axis=1)
     else:
         positions = np.broadcast_to(np.arange(m), (b, m))
-    # one draw per edit, mapped to a pool index with the arithmetic of
-    # RngStream.integers(0, size)
-    picks = np.floor(streams.uniform((positions.shape[1], reps)) * size).astype(np.int64)
-    picks = np.minimum(picks, size - 1)
+    picks = streams.integers(0, size, (positions.shape[1], reps))     # one draw per edit
     rows = np.arange(b)[:, None]
     replaced = origins[rows, positions][..., None]                        # (B, P, 1)
     if num_candidates > m:
@@ -135,10 +132,8 @@ def build_neighbors(list_idx, num_candidates: int, beta: float, rng: RngStream
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample single-edit neighbors of one list: neighbor_edits of a batch of
     one, returning its slots (P,), candidates (P, R) and neighbor lists (P, R, m)."""
-    streams = StreamRows([rng.seed], rng.counter)
-    positions, cands, lists = neighbor_edits(np.array([list_idx]), num_candidates, beta,
-                                             streams)
-    rng.counter = streams.counter
+    positions, cands, lists = rng.lockstep(
+        lambda rows: neighbor_edits(np.array([list_idx]), num_candidates, beta, rows))
     return positions[0], cands[0], lists[0]
 
 

@@ -267,6 +267,26 @@ class TestExitCodes:
         assert err.getvalue().startswith("error: config: ") and "expected" in err.getvalue()
         assert err.getvalue().count("\n") == 1
 
+    @pytest.mark.parametrize("command,section,values", [
+        ("gen-data", "data", {"quality_sigma": "abc"}),
+        ("gen-data", "data", {"quality_sigma": False}),
+        ("train-gen", "training", {"alpha": True}),
+        ("gen-data", "paths", {"out_dir": 5}),     # and no --out
+    ])
+    def test_wrong_type_in_a_typed_field_is_3(self, tmp_path, monkeypatch, command, section,
+                                              values):
+        payload = {**TINY, section: {**TINY.get(section, {}), **values}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        monkeypatch.chdir(tmp_path)   # where a default out_dir would be made
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([command, "--config", str(cfg_path)]) == 3
+        key = next(iter(values))
+        assert err.getvalue().startswith(f"error: config: {section}.{key}: expected ")
+        assert err.getvalue().count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -451,8 +471,13 @@ class TestSweep:
         pytest.param([1, 2], id="not-an-object"),
         pytest.param({"param": "training.alpha", "values": [0.1, float("nan")]}, id="nan-value"),
         pytest.param({"param": "training.lr", "values": [float("inf")]}, id="infinite-value"),
+        pytest.param({"version": True, "param": "training.alpha", "values": [0.2]},
+                     id="version-true"),
+        pytest.param({"version": 1.0, "param": "training.alpha", "values": [0.2]},
+                     id="version-float"),
+        pytest.param({"param": "training.alpha", "values": [0.2, True]}, id="bool-value"),
     ])
-    def test_malformed_sweep_spec_is_3(self, tmp_path, spec):
+    def test_malformed_sweep_spec_is_3(self, tmp_path, capsys, spec):
         base = json.loads(json.dumps(TINY))
         base["paths"] = {"out_dir": str(tmp_path / "unused")}
         if isinstance(spec, dict):
@@ -460,7 +485,10 @@ class TestSweep:
         spec_path = tmp_path / "sweep_malformed.json"
         spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         out = tmp_path / "o"
+        capsys.readouterr()
         assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1
         assert not (out / "dataset.jsonl").exists()  # rejected before any stage ran
 
 

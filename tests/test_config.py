@@ -86,6 +86,29 @@ def test_wrong_version():
     ("training", "max_steps", 1.5, r"training.max_steps: expected int \| None"),
     ("training", "hr_validation_records", 10.0, "training.hr_validation_records: expected int"),
     ("training", "seed", False, "training.seed: expected int"),
+    # float fields take an int or a float, never a bool or a string (one row
+    # per float field); str fields take a string
+    ("data", "quality_sigma", "abc", "data.quality_sigma: expected float"),
+    ("data", "affinity_sigma", False, "data.affinity_sigma: expected float"),
+    ("data", "position_intercept", "1", "data.position_intercept: expected float"),
+    ("data", "position_slope", True, "data.position_slope: expected float"),
+    ("data", "cannibalization", None, "data.cannibalization: expected float"),
+    ("data", "exposure_noise", [0.5], "data.exposure_noise: expected float"),
+    ("data", "conversion_scale", True, "data.conversion_scale: expected float"),
+    ("data", "conversion_intercept", "-1", "data.conversion_intercept: expected float"),
+    ("data", "train_fraction", False, "data.train_fraction: expected float"),
+    ("training", "lr", True, "training.lr: expected float"),
+    ("training", "alpha", True, "training.alpha: expected float"),
+    ("training", "beta", "1", "training.beta: expected float"),
+    ("training", "tau_start", False, "training.tau_start: expected float"),
+    ("training", "tau_end", {"v": 1}, "training.tau_end: expected float"),
+    ("training", "theta_p", True, r"training.theta_p: expected float \| None"),
+    ("training", "theta_c", "0.5", r"training.theta_c: expected float \| None"),
+    ("training", "k1", True, "training.k1: expected float"),
+    ("training", "k2", None, "training.k2: expected float"),
+    ("training", "cvr_total_mode", 1, "training.cvr_total_mode: expected str"),
+    ("training", "ablation", None, "training.ablation: expected str"),
+    ("paths", "out_dir", 5, "paths.out_dir: expected str"),
 ])
 def test_validation_errors(section, key, value, hint):
     keys = key if isinstance(key, tuple) else (key,)
@@ -95,8 +118,11 @@ def test_validation_errors(section, key, value, hint):
 
 
 def test_integer_fields_reject_floats_and_bools_everywhere():
-    assert config_from_dict({"version": 1, "model": {"mlp_hidden": [8, 4]},
-                             "training": {"max_steps": None, "alpha": 1}}).training.alpha == 1
+    cfg = config_from_dict({"version": 1, "model": {"mlp_hidden": [8, 4]},
+                            "training": {"max_steps": None, "alpha": 1, "theta_p": None}})
+    # an int in a float field stays an int, so config_hash keeps its bytes
+    assert type(cfg.training.alpha) is int and cfg.training.alpha == 1
+    assert cfg.training.max_steps is None and cfg.training.theta_p is None
     for bad in ([8, True], (8.0, 4), 8, "8"):
         with pytest.raises(ConfigError, match="model.mlp_hidden: expected list"):
             config_from_dict({"version": 1, "model": {"mlp_hidden": bad}})
@@ -104,6 +130,8 @@ def test_integer_fields_reject_floats_and_bools_everywhere():
         config_from_dict({"version": 1.0})
     with pytest.raises(ConfigError, match="training.gen_epochs: expected int"):
         set_by_dotted_key(default_config(), "training.gen_epochs", 2.0)
+    with pytest.raises(ConfigError, match="training.alpha: expected float"):
+        set_by_dotted_key(default_config(), "training.alpha", True)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 1, 2, 5])

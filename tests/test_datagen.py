@@ -57,9 +57,24 @@ def test_catalog_rejects_bad_sizes():
         gen_catalog(1, 2, 5)
 
 
+# One-list views of the batched click model, as references: the simulator
+# and the oracle call click_model on (R, m) lists and affinities directly.
+def list_click_probs(model, item_ids, user_id):
+    """Click probability at every position of one ordered list."""
+    return model.click_model(np.asarray(item_ids)[None], model.affinity(user_id)[None])[0][0]
+
+
+def conversion_prob(model, item_id, user_id):
+    return float(model.click_model(np.array([[item_id]]), model.affinity(user_id)[None])[1][0, 0])
+
+
+def expected_clicks(model, item_ids, user_id):
+    return float(list_click_probs(model, item_ids, user_id).sum())
+
+
 def click_prob(model, item_ids, position, user_id):
     """Click probability of one slot, read from the whole-list simulator."""
-    return float(model.list_click_probs(item_ids, user_id)[position])
+    return float(list_click_probs(model, item_ids, user_id)[position])
 
 
 def test_click_prob_all_terms_zero():
@@ -136,7 +151,7 @@ def test_empirical_ctr_matches_model(tmp_path):
     records = generate_records(cfg, model)
     clicked = sum(int(r.clicks.sum()) for r in records)
     expected = sum(
-        model.list_click_probs(r.exposed_ids[:, 0], r.user_id).sum() for r in records
+        list_click_probs(model, r.exposed_ids[:, 0], r.user_id).sum() for r in records
     )
     total = cfg.num_records * cfg.list_size
     assert abs(clicked / total - expected / total) < 0.02
@@ -206,7 +221,7 @@ def test_load_missing_manifest(tmp_path):
 def brute_force_best(model, pool, user_id, m):
     best, best_val = None, -1.0
     for perm in itertools.permutations(pool.tolist(), m):
-        val = model.expected_clicks(np.array(perm), user_id)
+        val = expected_clicks(model, np.array(perm), user_id)
         if val > best_val:
             best, best_val = perm, val
     return best
@@ -266,11 +281,11 @@ def loop_click_probs(model, item_ids, user_id):
 
 def loop_labels(model, item_ids, user_id, rs):
     """Reference: one scalar conversion draw per clicked slot, in slot order."""
-    probs = model.list_click_probs(item_ids, user_id)
+    probs = list_click_probs(model, item_ids, user_id)
     clicks = (rs.uniform((len(item_ids),)) < probs).astype(np.int64)
     convs = np.zeros(len(item_ids), dtype=np.int64)
     for j in np.flatnonzero(clicks):
-        convs[j] = int(rs.uniform() < model.conversion_prob(int(item_ids[j]), user_id))
+        convs[j] = int(rs.uniform() < conversion_prob(model, int(item_ids[j]), user_id))
     return clicks, convs
 
 
@@ -287,7 +302,7 @@ def test_simulator_matches_loop_reference(num_categories):
     assert clicks.dtype == convs.dtype == np.int64
     assert rows.counter == 3 + 2 * cfg.list_size
     for trial, user in enumerate(users):
-        assert np.array_equal(model.list_click_probs(items[trial], user),
+        assert np.array_equal(list_click_probs(model, items[trial], user),
                               loop_click_probs(model, items[trial], user))
         want = loop_labels(model, items[trial], user, RngStream(trial, 3))
         assert all(np.array_equal(a, b) and a.dtype == b.dtype
@@ -304,10 +319,10 @@ def reference_ranked_exposure(model, pool, user_id, noise, m, rs, personalized):
 
 
 def reference_sample_labels(model, item_ids, user_id, rs):
-    probs = model.list_click_probs(item_ids, user_id)
+    probs = list_click_probs(model, item_ids, user_id)
     clicks = (rs.uniform((len(item_ids),)) < probs).astype(np.int64)
     clicked = np.flatnonzero(clicks)
-    conv_probs = [model.conversion_prob(int(item_ids[j]), user_id) for j in clicked]
+    conv_probs = [conversion_prob(model, int(item_ids[j]), user_id) for j in clicked]
     convs = np.zeros(len(item_ids), dtype=np.int64)
     convs[clicked] = rs.uniform((len(clicked),)) < conv_probs
     return clicks, convs

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_simulated_session_logs_demo_runs():
-    # list_click_probs, expected_clicks and generate_records on one model
+    # affinities, click_model and generate_records on one model
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / "02_simulated_session_logs.py")],

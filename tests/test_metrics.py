@@ -20,7 +20,6 @@ from neighborrank.metrics import (
     cutoff_keys,
     greedy_order,
     hit_cutoff,
-    hit_ratio,
     log_loss,
     ndcg_at_k,
     rank_in_scores,
@@ -506,6 +505,13 @@ class TestBlockedOracle:
         want_s, want_i = real_keys(want, [hit_cutoff(want.shape[1], p) for p in pl.HIT_PCTS])
         assert np.array_equal(keys.key_scores, want_s)
         assert np.array_equal(keys.key_index, want_i)
+
+
+def hit_ratio(ranks, count, pct):
+    """Reference: the fraction of records whose rank among `count` lists lands
+    within the top pct% cutoff; NaN when there are no records."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    return float(np.mean(ranks <= hit_cutoff(count, pct))) if ranks.size else float("nan")
 
 
 class TestHitRatio:

@@ -11,7 +11,7 @@ from neighborrank import trainer as tr
 from neighborrank.config import TrainingSection, wide_pool_config
 from neighborrank.datagen import DataConfig, generate_records
 from neighborrank.generator import GumbelConfig
-from neighborrank.metrics import PermutationSpace, hit_ratio, rank_in_scores
+from neighborrank.metrics import PermutationSpace, hit_cutoff, rank_in_scores
 from neighborrank.rng import RngStream
 
 
@@ -165,8 +165,8 @@ def test_hr_report_structure(setup, monkeypatch):
     report = pl.evaluate_rerankers(keys, lists)
     assert set(report.hr["input"]) == {10.0, 1.0}
     ranks = [rank_in_scores(t.scores, t.space.index(p)) for t, p in zip(tables, lists["input"])]
-    assert report.hr["input"][10.0] == hit_ratio(ranks, 120, 10.0)
-    assert report.hr["input"][1.0] == hit_ratio(ranks, 120, 1.0)
+    assert report.hr["input"][10.0] == float(np.mean(np.array(ranks) <= hit_cutoff(120, 10.0)))
+    assert report.hr["input"][1.0] == float(np.mean(np.array(ranks) <= hit_cutoff(120, 1.0)))
     assert report.mean_reward["input"] == float(np.mean(
         [t.scores[t.space.index(p)] for t, p in zip(tables, lists["input"])]))
     # keys built one record a pass give the same report

@@ -4,18 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neighborrank import rng as rng_mod
-from neighborrank.rng import RngStream
+from neighborrank.rng import RngStream, StreamRows
 
 # Every draw in this module runs with warnings as errors: the streams use
-# wrapping uint64 arithmetic and must not emit overflow warnings.
-pytestmark = pytest.mark.filterwarnings("error")
+# wrapping uint64 arithmetic and must not emit overflow warnings. The one
+# exception is a DeprecationWarning hypothesis's own failure reporting raises
+# (it imports libcst, which uses mypy_extensions.TypedDict); as an error it
+# would end the whole pytest run in INTERNALERROR instead of one failed test.
+pytestmark = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 U64 = st.integers(0, 2**64 - 1)
 TAGS = st.lists(st.one_of(U64, st.text(max_size=8)), max_size=4)
 
 
 # Reference SplitMix64 on numpy uint64 arrays, with np.errstate: the stream
-# layout the Python-int split and the errstate-free draws must reproduce.
+# layout that StreamRows rows and RngStream (its one-row view) must reproduce.
 def ref_finalize(x):
     with np.errstate(over="ignore"):
         x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -36,24 +40,37 @@ def ref_split_seed(seed, tags):
     return child
 
 
-def ref_uniform(seed, counter, n):
+def ref_raw(seed, counter, n):
     idx = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        x = np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)
-    return ((ref_finalize(x) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return ref_finalize(np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15))
 
 
-@given(a=U64, b=U64)
-@settings(max_examples=300, deadline=None)
-def test_mix_pair_matches_numpy_reference(a, b):
-    assert rng_mod._mix_pair(a, b) == ref_mix_pair(a, b)
+def ref_uniform(seed, counter, n):
+    return ((ref_raw(seed, counter, n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def ref_normal(seed, counter, n):
+    """Box-Muller over the reference uniforms: first u1 for every pair, then u2."""
+    pairs = (n + 1) // 2
+    u1, u2 = ref_uniform(seed, counter, pairs), ref_uniform(seed, counter + pairs, pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    return np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
+
+
+def ref_gumbel(seed, counter, n):
+    return -np.log(-np.log(ref_uniform(seed, counter, n)))
+
+
+def ref_permutation(seed, counter, n):
+    return np.argsort(ref_raw(seed, counter, n), kind="stable")
 
 
 @given(seed=U64, tags=TAGS)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_split_matches_numpy_reference(seed, tags):
     child = RngStream(seed).split(*tags)
-    assert child.seed == ref_split_seed(seed, tags)
+    assert type(child.seed) is int and child.seed == ref_split_seed(seed, tags)
     assert child.counter == 0
 
 
@@ -201,3 +218,31 @@ def test_stream_rows_resume_at_a_counter(seed, counter, n):
     assert np.array_equal(got[0], ref_uniform(seed, counter, n))
     assert np.array_equal(got[1], ref_uniform(seed ^ 1, counter, n))
     assert rows.counter == counter + n
+
+
+@given(seeds=st.lists(U64, min_size=1, max_size=4), counter=st.integers(0, 2**48),
+       n=st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_draws_match_numpy_reference(seeds, counter, n):
+    """normal (odd and even sizes), gumbel and permutation, drawn back to back,
+    from every StreamRows row and from RngStream alike."""
+    rows = StreamRows(seeds, counter)
+    normal, gumbel, perm = rows.normal((n,)), rows.gumbel((n,)), rows.permutation(n)
+    pairs = (n + 1) // 2
+    for i, seed in enumerate(seeds):
+        want_normal = ref_normal(seed, counter, n)
+        want_gumbel = ref_gumbel(seed, counter + 2 * pairs, n)
+        want_perm = ref_permutation(seed, counter + 2 * pairs + n, n)
+        assert np.array_equal(normal[i], want_normal)
+        assert np.array_equal(gumbel[i], want_gumbel)
+        assert np.array_equal(perm[i], want_perm)
+        one = RngStream(seed, counter)
+        assert np.array_equal(one.normal((n,)), want_normal)
+        assert np.array_equal(one.gumbel((n,)), want_gumbel)
+        assert np.array_equal(one.permutation(n), want_perm)
+        assert one.counter == rows.counter == counter + 2 * pairs + 2 * n
+        scalar = RngStream(seed, counter)
+        z, g = scalar.normal(), scalar.gumbel()
+        assert type(z) is float and z == ref_normal(seed, counter, 1)[0]
+        assert type(g) is float and g == ref_gumbel(seed, counter + 2, 1)[0]
+        assert scalar.counter == counter + 3
