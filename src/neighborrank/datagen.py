@@ -12,11 +12,18 @@ leading record axis, from the simulator's blocks to every consumer. Datasets
 are written as JSONL (one record per line) with a sidecar manifest carrying
 the schema version and the 9:1 train/test split point. Latent quality never
 leaves this module: serialized records contain only ids and labels.
+
+Given the manifest's (H, m, n) every line has one shape, so one `%d` line
+template codes the file both ways. The writer formats it per record; the
+reader matches it as a regex, parses all matched digits at once and checks
+them vectorized. Other lines (spacing, key order, signs, bad bytes) go
+through `json.loads` and `_parse_record`; errors name the earliest bad line.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -266,17 +273,21 @@ def _simulate(cfg: DataConfig, model: GroundTruthModel, rows: StreamRows) -> Rec
     return Records(users, ses_ids, ses_clicks, ses_convs, cat.feature_ids(pool), exposed, clicks, convs)
 
 
-def _record_to_json(rec: Records) -> str:
-    """The JSONL line of one record, from its fields as Python ints."""
-    user, ses_ids, ses_clicks, ses_convs, cands, exposed, clicks, convs = (
-        col.tolist() for col in rec.columns())
-    sessions = [[{"item": i, "cat": c, "brand": b, "click": k, "conv": v}
-                 for (i, c, b), k, v in zip(*session)]
-                for session in zip(ses_ids, ses_clicks, ses_convs)]
-    obj = {"user_id": user, "sessions": sessions,
-           "candidates": [{"item": i, "cat": c, "brand": b} for i, c, b in cands],
-           "exposed": exposed, "clicks": clicks, "convs": convs}
-    return json.dumps(obj, separators=(",", ":"))
+def _line_template(manifest: dict) -> str:
+    """One record's JSONL line as json.dumps writes it, one `%d` per value of its `_flat` row."""
+    H, m, n = manifest["history_sessions"], manifest["list_size"], manifest["num_candidates"]
+    item = {"item": 0, "cat": 0, "brand": 0}
+    obj = {"user_id": 0, "sessions": [[{**item, "click": 0, "conv": 0}] * m] * H,
+           "candidates": [item] * n, "exposed": [0] * m, "clicks": [0] * m, "convs": [0] * m}
+    return json.dumps(obj, separators=(",", ":")).replace("0", "%d")  # no key holds a digit
+
+
+def _flat(records: Records) -> np.ndarray:
+    """(R, F) int rows, one value per `%d` of `_line_template`, in its order."""
+    ses = np.concatenate([records.session_ids, records.session_clicks[..., None],
+                          records.session_convs[..., None]], axis=-1)
+    cols = (records.user_id, ses, records.candidate_ids, records.exposed, records.clicks, records.convs)
+    return np.concatenate([col.reshape(len(col), math.prod(col.shape[1:])) for col in cols], axis=1)
 
 
 def manifest_path(dataset_path) -> Path:
@@ -289,17 +300,16 @@ def write_dataset(records: Records, cfg: DataConfig, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     train = num_train(cfg, len(records))
-    try:
-        with atomic_write(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(_record_to_json(rec))
-                fh.write("\n")
-    except OSError as exc:
-        raise DatasetError(f"cannot write dataset at {path}: {exc}") from exc
     manifest = {"version": SCHEMA_VERSION, "num_records": len(records), "num_train": train,
                 "num_test": len(records) - train,
                 **{key: getattr(cfg, key) for key in ("seed", "list_size", "history_sessions",
                    "num_candidates", "num_items", "num_categories", "num_brands")}}
+    line = _line_template(manifest) + "\n"
+    try:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.writelines(line % tuple(row) for row in _flat(records).tolist())
+    except OSError as exc:
+        raise DatasetError(f"cannot write dataset at {path}: {exc}") from exc
     with atomic_write(manifest_path(path), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2) + "\n")
     return path
@@ -330,20 +340,27 @@ def _objects(items, length: int, names: dict[str, int], what: str, fail) -> list
     if not (isinstance(items, list) and len(items) == length
             and all(isinstance(item, dict) for item in items)):
         fail(f"field {what!r} must hold {length} objects")
-    rows = [[item[name] for name in names] for item in items]
+    try:
+        rows = [[item[name] for name in names] for item in items]
+    except KeyError as exc:
+        fail(f"missing field {exc}")
     for (name, limit), column in zip(names.items(), zip(*rows)):
         if not _in_range(column, limit):
             fail(f"field {what!r}: every {name!r} must be an integer in [0, {limit})")
     return rows
 
 
-def _parse_record(obj, line_no: int, manifest: dict) -> list[int]:
-    """One record's checked fields, flat: user_id, then the H * m session
-    items [item, cat, brand, click, conv], the n candidates [item, cat,
-    brand], exposed, clicks and convs."""
+def _parse_record(line: bytes, line_no: int, manifest: dict) -> list[int]:
+    """One JSONL line's checked fields as its `_flat` row."""
     def fail(msg: str):
         raise DatasetError(f"line {line_no}: {msg}")
 
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError:
+        fail("not UTF-8")
+    except json.JSONDecodeError as exc:
+        fail(f"malformed JSON ({exc.msg})")
     if not isinstance(obj, dict):
         fail("not a JSON object")
     H, m, n = manifest["history_sessions"], manifest["list_size"], manifest["num_candidates"]
@@ -381,11 +398,26 @@ def _read_manifest(mpath: Path) -> dict:
         raise DatasetError(f"{mpath}: schema version {version} != supported {SCHEMA_VERSION}")
     for key in ("num_records", "num_train", "history_sessions", "list_size",
                 "num_candidates", "num_items", "num_categories", "num_brands"):
-        if type(manifest.get(key)) is not int or manifest[key] < 0:
-            raise DatasetError(f"{mpath}: {key!r} must be a nonnegative integer")
+        if type(manifest.get(key)) is not int or not 0 <= manifest[key] < 2**63:
+            raise DatasetError(f"{mpath}: {key!r} must be a nonnegative 64-bit integer")
     if manifest["num_train"] > manifest["num_records"]:
         raise DatasetError(f"{mpath}: num_train exceeds num_records")
     return manifest
+
+
+def _accepted(records: Records, manifest: dict) -> np.ndarray:
+    """Per record, whether `_parse_record` accepts its values, all in [0, 2**63)."""
+    vocab = [manifest["num_items"], manifest["num_categories"], manifest["num_brands"]]
+    checks = [records.session_ids < vocab, records.candidate_ids < vocab,
+              records.session_clicks < 2, records.session_convs <= records.session_clicks,
+              records.exposed < manifest["num_candidates"], records.clicks < 2,
+              records.convs <= records.clicks, np.diff(np.sort(records.exposed), axis=1) > 0]
+    ok = [check.all(axis=tuple(range(1, check.ndim))) for check in checks]
+    return np.logical_and.reduce(ok) & (manifest["list_size"] > 0)  # exposed must be nonempty
+
+
+_VALUE = rb"(?:0|[1-9][0-9]{0,17})"   # a JSON integer below 10**18: no sign, no leading zero
+_NUMBERS_ONLY = bytes(c if chr(c) in "-0123456789" else 32 for c in range(256))
 
 
 def load_dataset(path) -> tuple[Records, dict]:
@@ -400,30 +432,42 @@ def load_dataset(path) -> tuple[Records, dict]:
     if not mpath.exists():
         raise DatasetError(f"manifest not found: {mpath}")
     manifest = _read_manifest(mpath)
-    rows = []
-    with path.open("rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"line {line_no}: not UTF-8") from exc
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: malformed JSON ({exc.msg})") from exc
-            try:
-                rows.append(_parse_record(obj, line_no, manifest))
-            except KeyError as exc:
-                raise DatasetError(f"line {line_no}: missing field {exc}") from exc
-    if len(rows) != manifest["num_records"]:
-        raise DatasetError(f"{path}: {len(rows)} records but manifest says {manifest['num_records']}")
     H, m, n = manifest["history_sessions"], manifest["list_size"], manifest["num_candidates"]
     widths = [1, 5 * H * m, 3 * n, m, m, m]
-    flat = np.array(rows, dtype=np.int64).reshape(len(rows), sum(widths))
-    user, ses, cand, exposed, clicks, convs = np.split(flat, np.cumsum(widths)[:-1], axis=1)
-    ses, cand = ses.reshape(len(rows), H, m, 5), cand.reshape(len(rows), n, 3)
-    return Records(user[:, 0], ses[..., :3], ses[..., 3], ses[..., 4], cand, exposed, clicks,
-                   convs), manifest
+    lines, pattern, error = {}, None, None   # line number -> the line in template form
+    with path.open("rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            if pattern is None and 2 * sum(widths) <= len(line):  # a record has 2+ bytes a value
+                template = _line_template(manifest)
+                pattern = re.compile(_VALUE.join(map(re.escape, template.encode().split(b"%d")))
+                                     + rb"\n?")
+            if pattern is None or not pattern.fullmatch(line):
+                try:
+                    row = _parse_record(line, line_no, manifest)
+                except DatasetError as exc:
+                    error = exc
+                    break
+                line = (template % tuple(row)).encode()  # a parsed line holds 2+ bytes a value
+            lines[line_no] = line
+    if error is not None and not lines:  # sizes no line has shown may not fit a shape
+        raise error
+    flat = np.fromstring(b"".join(lines.values()).translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
+    user, ses, cand, exposed, clicks, convs = np.split(
+        flat.reshape(len(lines), sum(widths)), np.cumsum(widths)[:-1], axis=1)
+    ses, cand = ses.reshape(len(lines), H, m, 5), cand.reshape(len(lines), n, 3)
+    records = Records(user[:, 0], ses[..., :3], ses[..., 3], ses[..., 4], cand, exposed, clicks,
+                      convs)
+    # a rejected row is a template match before any slow-path error: raise its own message
+    if len(bad := np.flatnonzero(~_accepted(records, manifest))):
+        line_no = list(lines)[bad[0]]
+        _parse_record(lines[line_no], line_no, manifest)
+    if error is not None:
+        raise error
+    if len(lines) != manifest["num_records"]:
+        raise DatasetError(f"{path}: {len(lines)} records but manifest says {manifest['num_records']}")
+    return records, manifest
 
 
 def split_records(records: Records, manifest: dict) -> tuple[Records, Records]:

@@ -307,23 +307,42 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
+    class HalfwayFile:
+        """A file handle that takes five lines, then fails inside the sixth."""
+
+        def __init__(self, fh):
+            self.fh, self.lines = fh, 0
+
+        def write(self, text):
+            for line in text.splitlines(keepends=True):
+                if self.lines == 5:
+                    self.fh.write(line[: len(line) // 2])
+                    raise RuntimeError("halfway")
+                self.fh.write(line)
+                self.lines += line.endswith("\n")
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
     def test_dataset(self, pipeline_run, tmp_path, monkeypatch):
         cfg_path, src = pipeline_run
         records, _ = load_dataset(src / "dataset.jsonl")
         out = copy_run(src, tmp_path / "data")
         before = sorted((p.name, p.read_bytes()) for p in out.iterdir())
         cfg = load_config(cfg_path).data
-        lines = iter(range(len(records)))
-        record_to_json = datagen._record_to_json
+        real_atomic_write, handles = datagen.atomic_write, []
 
-        def halfway(rec):   # the sixth record's line fails
-            if next(lines) == 5:
-                raise RuntimeError("halfway")
-            return record_to_json(rec)
+        @contextlib.contextmanager
+        def halfway_write(path, *args, **kwargs):
+            with real_atomic_write(path, *args, **kwargs) as fh:
+                handles.append(self.HalfwayFile(fh))
+                yield handles[-1]
 
-        monkeypatch.setattr(datagen, "_record_to_json", halfway)
+        monkeypatch.setattr(datagen, "atomic_write", halfway_write)
         with pytest.raises(RuntimeError, match="halfway"):
             write_dataset(records, cfg, out / "dataset.jsonl")
+        assert [h.lines for h in handles] == [5]   # the write failed midway through the data
         assert sorted((p.name, p.read_bytes()) for p in out.iterdir()) == before
 
 

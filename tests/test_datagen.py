@@ -1,7 +1,12 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
+import re
+import tempfile
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neighborrank import datagen
-from neighborrank.config import default_config
+from neighborrank.config import default_config, wide_pool_config
 from neighborrank.datagen import (
     Catalog,
     DataConfig,
@@ -245,12 +250,23 @@ def test_reranking_headroom_over_greedy():
 # the Python-int fast paths landed. A change here means the stream layout (or
 # the simulator) changed, and every dataset and checkpoint downstream with it.
 STREAM_LAYOUT_SHA256 = "99e878ab1a0131408ee7f134769fff8d5e03d754ddee360af4d62624e3c80347"
+# The same for wide_pool_config().data (m = 4 of n = 12 candidates), taken
+# before the dataset writer became a line template: pins the line layout
+# where the exposed slate is shorter than the candidate list.
+WIDE_LAYOUT_SHA256 = "bbd9fb942ae96760b877a10428ccc364e91a6fb3063881d71f23b5f2833e7657"
 
 
 def test_stream_layout_pinned(tmp_path):
     cfg = dataclasses.replace(default_config().data, num_records=40)
     path = write_dataset(generate_records(cfg), cfg, tmp_path / "dataset.jsonl")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == STREAM_LAYOUT_SHA256
+
+
+def test_wide_layout_pinned(tmp_path):
+    cfg = dataclasses.replace(wide_pool_config().data, num_records=40)
+    assert (cfg.list_size, cfg.num_candidates) == (4, 12)
+    path = write_dataset(generate_records(cfg), cfg, tmp_path / "dataset.jsonl")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_LAYOUT_SHA256
 
 
 def test_cached_affinity_equals_fresh_draw_and_is_read_only():
@@ -406,3 +422,245 @@ def test_empty_train_split_rejected():
     with pytest.raises(ValueError, match="train or test split empty"):
         small_cfg(num_records=1, train_fraction=0.9)
     assert datagen.num_train(small_cfg(num_records=60, train_fraction=0.02), 60) == 1
+
+
+# References for the line-template codec: each record through json.dumps,
+# and every line through json.loads and `_parse_record`.
+def record_to_json(rec) -> str:
+    """The JSONL line of one record, from its fields as Python ints."""
+    user, ses_ids, ses_clicks, ses_convs, cands, exposed, clicks, convs = (
+        col.tolist() for col in rec.columns())
+    sessions = [[{"item": i, "cat": c, "brand": b, "click": k, "conv": v}
+                 for (i, c, b), k, v in zip(*session)]
+                for session in zip(ses_ids, ses_clicks, ses_convs)]
+    obj = {"user_id": user, "sessions": sessions,
+           "candidates": [{"item": i, "cat": c, "brand": b} for i, c, b in cands],
+           "exposed": exposed, "clicks": clicks, "convs": convs}
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def json_only_load(path):
+    path = Path(path)
+    manifest = datagen._read_manifest(manifest_path(path))
+    rows = []
+    with path.open("rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                rows.append(datagen._parse_record(line, line_no, manifest))
+    if len(rows) != manifest["num_records"]:
+        raise DatasetError(f"{path}: {len(rows)} records but manifest says {manifest['num_records']}")
+    H, m, n = manifest["history_sessions"], manifest["list_size"], manifest["num_candidates"]
+    widths = [1, 5 * H * m, 3 * n, m, m, m]
+    flat = np.array(rows, dtype=np.int64).reshape(len(rows), sum(widths))
+    user, ses, cand, exposed, clicks, convs = np.split(flat, np.cumsum(widths)[:-1], axis=1)
+    ses, cand = ses.reshape(len(rows), H, m, 5), cand.reshape(len(rows), n, 3)
+    return datagen.Records(user[:, 0], ses[..., :3], ses[..., 3], ses[..., 4], cand, exposed,
+                           clicks, convs), manifest
+
+
+def outcome(load, path):
+    """Each column's (dtype, shape, values) and the manifest, or the DatasetError message."""
+    try:
+        records, manifest = load(path)
+    except DatasetError as exc:
+        return str(exc)
+    return [(c.dtype, c.shape, c.tolist()) for c in records.columns()], manifest
+
+
+def write_reference(records, cfg, path) -> Path:
+    """The dataset as the json.dumps writer wrote it, with write_dataset's manifest."""
+    path = write_dataset(records, cfg, path)
+    path.write_text("".join(record_to_json(rec) + "\n" for rec in records), encoding="utf-8")
+    return path
+
+
+def assert_loads_agree(path):
+    want = outcome(json_only_load, path)
+    assert outcome(load_dataset, path) == want
+    return want
+
+
+@st.composite
+def codec_cases(draw):
+    n = draw(st.sampled_from([4, 2, 6, 1, 5, 3]))
+    num_items = draw(st.integers(n, 30))
+    return DataConfig(
+        seed=draw(st.integers(0, 2**32)), num_items=num_items,
+        num_categories=draw(st.integers(1, num_items)), num_brands=draw(st.integers(1, 6)),
+        num_users=draw(st.integers(1, 40)), history_sessions=draw(st.integers(1, 3)),
+        list_size=draw(st.integers(1, n)), num_candidates=n, num_records=draw(st.integers(2, 8)))
+
+
+FIELDS = [f.name for f in dataclasses.fields(datagen.Records)]
+# labels, then small ids for every range check, then the template's 18-digit limit
+EDIT_VALUES = st.integers(0, 1) | st.integers(0, 14) | st.sampled_from([10**18 - 1, 10**18, 2**63 - 1])
+
+
+@given(cfg=codec_cases(), data=st.data())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_template_codec_equals_json_reference(cfg, data):
+    """The template writer writes json.dumps's bytes, and load_dataset agrees
+    with the JSON-only reader (columns or error message) on clean files, field
+    edits, one-byte substitutions, truncations and shrunk manifest sizes."""
+    records = generate_records(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_dataset(records, cfg, Path(tmp) / "d.jsonl")
+        clean = path.read_bytes()
+        assert clean == "".join(record_to_json(rec) + "\n" for rec in records).encode()
+        assert not isinstance(assert_loads_agree(path), str)
+        damage = data.draw(st.sampled_from(["edit", "copy", "byte", "insert", "truncate",
+                                            "manifest"]), label="damage")
+        if damage in ("edit", "copy"):   # through the json.dumps writer
+            for _ in range(data.draw(st.integers(1, 3), label="edits")):
+                name = data.draw(st.sampled_from(FIELDS), label="field")
+                i = data.draw(st.integers(0, len(records) - 1), label="record")
+                row = getattr(records, name)[i : i + 1]   # a view of the record's field
+                at = np.unravel_index(data.draw(st.integers(0, row.size - 1), label="at"), row.shape)
+                if damage == "copy":   # another value of the record's field: duplicates, equal labels
+                    row[at] = row.flat[data.draw(st.integers(0, row.size - 1), label="from")]
+                else:
+                    row[at] = data.draw(EDIT_VALUES | st.integers(-3, -1) if name == "user_id"
+                                        else EDIT_VALUES, label="value")
+            write_reference(records, cfg, path)
+        elif damage == "manifest":
+            mpath = manifest_path(path)
+            manifest = json.loads(mpath.read_text())
+            key = data.draw(st.sampled_from(["num_items", "num_categories", "num_brands",
+                                             "history_sessions", "list_size", "num_candidates"]))
+            manifest[key] = data.draw(st.integers(0, manifest[key]), label="size")
+            mpath.write_text(json.dumps(manifest))
+        else:
+            raw = bytearray(clean)
+            pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+            if damage == "truncate":
+                del raw[pos:]
+            elif damage == "insert":   # a sign, point, exponent or (leading) digit before a digit
+                pos = data.draw(st.sampled_from([i for i, c in enumerate(raw) if chr(c).isdigit()]))
+                raw.insert(pos, data.draw(st.sampled_from(b"0-.e0123456789"), label="byte"))
+            else:
+                raw[pos] = data.draw(st.sampled_from(b"0123456789") | st.integers(0, 255),
+                                     label="byte")
+            path.write_bytes(bytes(raw))
+        assert_loads_agree(path)
+
+
+def codec_file(tmp_path):
+    cfg = small_cfg(num_records=6)   # H = 2, m = n = 4, vocabularies 40 / 5 / 6
+    return write_dataset(generate_records(cfg), cfg, tmp_path / "d.jsonl")
+
+
+def edit(path, line_no, pattern, repl):
+    """Substitute the first match of a bytes regex on one line."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1], count = re.subn(pattern, repl, lines[line_no - 1], count=1)
+    assert count == 1, (pattern, lines[line_no - 1][:80])
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("pattern, repl, error", [
+    (rb'"item":\d+', b'"item":05', "malformed JSON"),
+    (rb'"item":\d+', b'"item":-1', "field 'sessions': every 'item'"),
+    (rb'"click":\d', b'"click":1.0', "field 'sessions': every 'click'"),
+    (rb'"item":\d+', b'"item":1e2', "field 'sessions': every 'item'"),
+    (rb'"click":\d', b'"click":true', "field 'sessions': every 'click'"),
+    (rb'"user_id":\d+', b'"user_id":true', "field 'user_id' must be a 64-bit integer"),
+    (rb'"user_id":\d+', b'"user_id":1234567890123456789', None),   # 19 digits fit int64
+    (rb'"user_id":\d+', b'"user_id":12345678901234567890', "field 'user_id' must be a 64-bit"),
+    (rb'"user_id":\d+', b'"user_id":9999999999999999999', "field 'user_id' must be a 64-bit"),
+    (rb'"user_id":\d+', b'"user_id":-7', None),
+    (rb'"user_id":', b'"user_id": ', None),
+    (rb',"sessions":', b', "sessions" :', None),
+    (rb'"item":\d+', b'"item":123456789012345678', "field 'sessions': every 'item'"),  # 18
+    (rb'"item":\d+', b'"item":1234567890123456789', "field 'sessions': every 'item'"),
+    (rb'"cat":\d+', b'"cat":5', "field 'sessions': every 'cat'"),
+    (rb'"brand":\d+', b'"brand":6', "field 'sessions': every 'brand'"),
+    (rb'"click":\d,"conv":\d', b'"click":0,"conv":1', "field 'sessions': conversion without"),
+    (rb'"exposed":\[\d+', b'"exposed":[4', "field 'exposed' must hold 4 integers in [0, 4)"),
+    (rb'"exposed":\[(\d+),\d+', rb'"exposed":[\1,\1', "field 'exposed': duplicate candidate"),
+    (rb'"exposed":\[', b'"exposed":[0,', "field 'exposed' must hold"),
+    (rb'"clicks":\[\d', b'"clicks":[2', "field 'clicks' must hold"),
+    (rb'"clicks":\[\d,\d', b'"clicks":[0,0', None),
+    (rb'"clicks":\[\d(.*)"convs":\[\d', rb'"clicks":[0\1"convs":[1', "field 'convs': conversion"),
+    (rb'"candidates":\[\{"item":\d+', b'"candidates":[{"item":40', "field 'candidates': every"),
+    (rb'"item"', b'"itme"', "missing field 'item'"),
+])
+def test_template_and_json_agree_on_hand_edits(tmp_path, pattern, repl, error):
+    path = codec_file(tmp_path)
+    edit(path, 2, pattern, repl)
+    got = assert_loads_agree(path)
+    if error is None:
+        assert not isinstance(got, str), got
+    else:
+        assert isinstance(got, str) and got.startswith(f"line 2: {error}"), got
+
+
+def test_template_and_json_agree_on_layout_edits(tmp_path):
+    path = codec_file(tmp_path)
+    clean = assert_loads_agree(path)
+    raw = path.read_bytes()
+    lines = raw.splitlines()
+    reordered = json.dumps(dict(reversed(json.loads(lines[2]).items()))).encode()
+    for variant in (raw.replace(b"\n", b"\r\n"), raw[:-1], b"\n \n" + raw.replace(b"\n", b"\n\n"),
+                    b"\n".join(lines[:2] + [reordered] + lines[3:]) + b"\n"):
+        path.write_bytes(variant)
+        assert assert_loads_agree(path) == clean
+
+
+def test_an_empty_slate_fails_on_both_paths(tmp_path):
+    """A manifest may claim list_size 0 and lines may have that shape; the
+    JSON checks reject the empty exposed list, and so must the template's."""
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"user_id":1,"sessions":[[]],"candidates":[{"item":0,"cat":0,"brand":0}],'
+                    '"exposed":[],"clicks":[],"convs":[]}\n')
+    manifest_path(path).write_text(json.dumps({
+        "version": 1, "num_records": 1, "num_train": 1, "history_sessions": 1, "list_size": 0,
+        "num_candidates": 1, "num_items": 1, "num_categories": 1, "num_brands": 1}))
+    assert assert_loads_agree(path) == "line 1: field 'exposed' must hold 0 integers in [0, 1)"
+
+
+@pytest.mark.parametrize("first, second", [(2, 5), (5, 2)])
+def test_the_earliest_bad_line_is_named(tmp_path, first, second):
+    """An out-of-range id on a line the template matches, and malformed JSON
+    on another: the error names whichever line comes first."""
+    path = codec_file(tmp_path)
+    edit(path, first, rb'"item":\d+', b'"item":99')   # num_items is 40
+    edit(path, second, rb'"user_id":', b'"user_id":[')
+    with pytest.raises(DatasetError, match=f"^line {min(first, second)}: "):
+        load_dataset(path)
+    assert assert_loads_agree(path).startswith(f"line {min(first, second)}: ")
+
+
+@pytest.mark.parametrize("sizes", [{"num_candidates": 10**9},
+                                   {"history_sessions": 10**12, "list_size": 10**12},
+                                   {"num_candidates": 2**62, "list_size": 2**62}])
+def test_a_huge_claimed_size_fails_on_line_one_fast(tmp_path, sizes):
+    """The reader builds no template and no array by sizes that no line has
+    shown: the first line's own error comes at once."""
+    path = codec_file(tmp_path)
+    mpath = manifest_path(path)
+    mpath.write_text(json.dumps({**json.loads(mpath.read_text()), **sizes}))
+    with mock.patch.object(datagen, "_line_template", wraps=datagen._line_template) as template:
+        start = time.perf_counter()
+        with pytest.raises(DatasetError, match="^line 1: "):
+            load_dataset(path)
+        assert time.perf_counter() - start < 1.0
+    assert template.call_count == 0
+
+
+def test_no_records_round_trip(tmp_path):
+    cfg = small_cfg()
+    path = write_dataset(generate_records(cfg)[:0], cfg, tmp_path / "d.jsonl")
+    assert path.read_bytes() == b""
+    records, manifest = load_dataset(path)
+    assert len(records) == manifest["num_records"] == 0
+    assert records.session_ids.shape == (0, cfg.history_sessions, cfg.list_size, 3)
+    assert_loads_agree(path)
+
+
+def test_manifest_sizes_must_fit_int64(tmp_path):
+    """Every id the reader accepts then fits the int64 columns."""
+    path = codec_file(tmp_path)
+    mpath = manifest_path(path)
+    mpath.write_text(json.dumps({**json.loads(mpath.read_text()), "num_items": 2**63}))
+    with pytest.raises(DatasetError, match="'num_items' must be a nonnegative 64-bit integer"):
+        load_dataset(path)
