@@ -14,10 +14,11 @@ the schema version and the 9:1 train/test split point. Latent quality never
 leaves this module: serialized records contain only ids and labels.
 
 Given the manifest's (H, m, n) every line has one shape, so one `%d` line
-template codes the file both ways. The writer formats it per record; the
-reader matches it as a regex, parses all matched digits at once and checks
-them vectorized. Other lines (spacing, key order, signs, bad bytes) go
-through `json.loads` and `_parse_record`; errors name the earliest bad line.
+template codes the file both ways: the writer formats it per record. The
+reader chooses once per file. When every line matches the template and every
+value passes the vectorized checks, it parses all digits at once; any other
+file goes line by line through the JSON reference (`_parse_record`), which
+owns every error message.
 """
 from __future__ import annotations
 
@@ -420,6 +421,16 @@ _VALUE = rb"(?:0|[1-9][0-9]{0,17})"   # a JSON integer below 10**18: no sign, no
 _NUMBERS_ONLY = bytes(c if chr(c) in "-0123456789" else 32 for c in range(256))
 
 
+def _records(flat, manifest: dict) -> Records:
+    """Records from (R, F) `_flat` rows: the inverse of `_flat`."""
+    H, m, n = manifest["history_sessions"], manifest["list_size"], manifest["num_candidates"]
+    widths = [1, 5 * H * m, 3 * n, m, m, m]
+    flat = np.asarray(flat, dtype=np.int64).reshape(len(flat), sum(widths))
+    user, ses, cand, exposed, clicks, convs = np.split(flat, np.cumsum(widths)[:-1], axis=1)
+    ses, cand = ses.reshape(len(flat), H, m, 5), cand.reshape(len(flat), n, 3)
+    return Records(user[:, 0], ses[..., :3], ses[..., 3], ses[..., 4], cand, exposed, clicks, convs)
+
+
 def load_dataset(path) -> tuple[Records, dict]:
     """Load and validate a JSONL dataset; returns (records, manifest).
 
@@ -433,40 +444,20 @@ def load_dataset(path) -> tuple[Records, dict]:
         raise DatasetError(f"manifest not found: {mpath}")
     manifest = _read_manifest(mpath)
     H, m, n = manifest["history_sessions"], manifest["list_size"], manifest["num_candidates"]
-    widths = [1, 5 * H * m, 3 * n, m, m, m]
-    lines, pattern, error = {}, None, None   # line number -> the line in template form
     with path.open("rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            if pattern is None and 2 * sum(widths) <= len(line):  # a record has 2+ bytes a value
-                template = _line_template(manifest)
-                pattern = re.compile(_VALUE.join(map(re.escape, template.encode().split(b"%d")))
-                                     + rb"\n?")
-            if pattern is None or not pattern.fullmatch(line):
-                try:
-                    row = _parse_record(line, line_no, manifest)
-                except DatasetError as exc:
-                    error = exc
-                    break
-                line = (template % tuple(row)).encode()  # a parsed line holds 2+ bytes a value
-            lines[line_no] = line
-    if error is not None and not lines:  # sizes no line has shown may not fit a shape
-        raise error
-    flat = np.fromstring(b"".join(lines.values()).translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
-    user, ses, cand, exposed, clicks, convs = np.split(
-        flat.reshape(len(lines), sum(widths)), np.cumsum(widths)[:-1], axis=1)
-    ses, cand = ses.reshape(len(lines), H, m, 5), cand.reshape(len(lines), n, 3)
-    records = Records(user[:, 0], ses[..., :3], ses[..., 3], ses[..., 4], cand, exposed, clicks,
-                      convs)
-    # a rejected row is a template match before any slow-path error: raise its own message
-    if len(bad := np.flatnonzero(~_accepted(records, manifest))):
-        line_no = list(lines)[bad[0]]
-        _parse_record(lines[line_no], line_no, manifest)
-    if error is not None:
-        raise error
-    if len(lines) != manifest["num_records"]:
-        raise DatasetError(f"{path}: {len(lines)} records but manifest says {manifest['num_records']}")
+        lines = fh.readlines()
+    data, records = [line for line in lines if not line.isspace()], None
+    if data and 2 * (1 + 5 * H * m + 3 * n + 3 * m) <= len(data[0]):  # 2+ bytes a value
+        template = _line_template(manifest).encode()
+        pattern = re.compile(_VALUE.join(map(re.escape, template.split(b"%d"))) + rb"\n?")
+        if all(map(pattern.fullmatch, data)):
+            flat = np.fromstring(b"".join(data).translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
+            records = _records(flat.reshape(len(data), -1), manifest)
+    if records is None or not _accepted(records, manifest).all():   # the JSON reference
+        records = _records([_parse_record(line, line_no, manifest) for line_no, line in
+                            enumerate(lines, start=1) if not line.isspace()], manifest)
+    if len(records) != manifest["num_records"]:
+        raise DatasetError(f"{path}: {len(records)} records but manifest says {manifest['num_records']}")
     return records, manifest
 
 

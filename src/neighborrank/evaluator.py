@@ -225,16 +225,24 @@ def slot_heads(h: Tensor, params: EvaluatorParams) -> tuple[Tensor, Tensor]:
         for k in ("ctr", "cvr"))
 
 
-SCORE_CHUNK = 1024   # lists per forward pass; bounds the activation peak
+SCORE_CHUNK = 1024   # rows per inference pass; bounds the activation peak
+
+
+def passes(count: int, rows_per_item: int = 1):
+    """Slices of range(count), SCORE_CHUNK // rows_per_item items a pass (at
+    least one), yielded with graph building off: the one chunk rule of every
+    inference loop. SCORE_CHUNK is read at call time."""
+    step = max(1, SCORE_CHUNK // rows_per_item)
+    with no_grad():
+        for start in range(0, count, step):
+            yield slice(start, start + step)
 
 
 def user_vectors(records: Records, params: EvaluatorParams) -> np.ndarray:
     """Frozen user vectors for many records, (N, D), SCORE_CHUNK records a pass."""
     out = np.empty((len(records), params.dims.embed_dim))
-    with no_grad():
-        for start in range(0, len(records), SCORE_CHUNK):
-            blk = slice(start, start + SCORE_CHUNK)
-            out[blk] = encode_sessions(records.session_ids[blk], params).value
+    for blk in passes(len(records)):
+        out[blk] = encode_sessions(records.session_ids[blk], params).value
     return out
 
 
@@ -247,11 +255,9 @@ def scores_for_lists(list_ids: np.ndarray, e_user: np.ndarray,
     stays bounded for any K; each list's scores do not depend on the chunking.
     """
     pctr, pcvr = np.empty((2, *list_ids.shape[:2]))
-    with no_grad():
-        for start in range(0, len(list_ids), SCORE_CHUNK):
-            blk = slice(start, start + SCORE_CHUNK)
-            p, v = predict_graph(list_ids[blk], ad.constant(e_user[blk]), params)
-            pctr[blk], pcvr[blk] = p.value, v.value
+    for blk in passes(len(list_ids)):
+        p, v = predict_graph(list_ids[blk], ad.constant(e_user[blk]), params)
+        pctr[blk], pcvr[blk] = p.value, v.value
     return pctr, pcvr
 
 
@@ -266,21 +272,17 @@ def slot_tables(set_ids: np.ndarray, e_user: np.ndarray,
     (SCORE_CHUNK // m**2 sets), so each layer's output stays in cache."""
     s, m = set_ids.shape[:2]
     pctr, pcvr = np.empty((2, s, m, m))
-    step, mlp_step = max(1, SCORE_CHUNK // m), max(1, SCORE_CHUNK // (m * m))
-    with no_grad():
-        for start in range(0, s, step):
-            blk = slice(start, start + step)
-            x = embed_lists(set_ids[blk], params)
-            items, e_list = x.value.reshape(*x.shape[:2], 1, -1), list_attention(x, params)[1]
-            ctr, cvr, users = pctr[blk], pcvr[blk], e_user[blk, None, None]
-            for i in range(0, len(ctr), mlp_step):
-                sub = slice(i, i + mlp_step)
-                parts = (items[sub], e_list.value[sub, None, None], users[sub],
-                         params.ps["pos"].value)   # rows [item, e_list, e_user, pos[slot]]
-                h = np.concatenate([np.broadcast_to(a, (*ctr[sub].shape, a.shape[-1]))
-                                    for a in parts], -1)
-                p, v = slot_heads(ad.constant(h), params)
-                ctr[sub], cvr[sub] = p.value, v.value
+    for blk in passes(s, m):
+        x = embed_lists(set_ids[blk], params)
+        items, e_list = x.value.reshape(*x.shape[:2], 1, -1), list_attention(x, params)[1]
+        ctr, cvr, users = pctr[blk], pcvr[blk], e_user[blk, None, None]
+        for sub in passes(len(ctr), m * m):
+            parts = (items[sub], e_list.value[sub, None, None], users[sub],
+                     params.ps["pos"].value)   # rows [item, e_list, e_user, pos[slot]]
+            h = np.concatenate([np.broadcast_to(a, (*ctr[sub].shape, a.shape[-1]))
+                                for a in parts], -1)
+            p, v = slot_heads(ad.constant(h), params)
+            ctr[sub], cvr[sub] = p.value, v.value
     return pctr, pcvr
 
 
@@ -326,11 +328,14 @@ def train_evaluator(train_records: Records, test_records: Records, dims: ModelDi
 
     History carries one row per epoch and split with AUC, log loss and NDCG.
     Identical seed and data reproduce the history bit for bit.
-    Raises TrainingStalled when an epoch leaves every parameter unchanged, and
-    FloatingPointError when the loss is not finite.
+    Raises TrainingStalled when an epoch leaves every parameter unchanged,
+    FloatingPointError when the loss is not finite, and ValueError when the
+    test clicks are all one label (no AUC picks the snapshot).
     """
     if not train_records or not test_records:
         raise ValueError("train and test sets must be nonempty")
+    if test_records.clicks.min() == test_records.clicks.max():
+        raise ValueError("test clicks are all one label: test AUC cannot choose an epoch")
     rng = RngStream(training.seed).split("evaluator")
     params = EvaluatorParams.init(dims, rng.split("init"))
     opt = Adam(params.ps.trainable(), lr=training.lr)

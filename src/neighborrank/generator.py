@@ -20,7 +20,6 @@ remain.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ from .evaluator import (
     EvaluatorParams,
     ModelDims,
     _tile_vector,
-    embed_lists,
     encode_sessions,
     flatten_items,
     list_attention,
@@ -223,7 +221,7 @@ class TraceStep:
 
     def to_json(self) -> dict:
         keys = ("step", "position", "candidate", "max_rp", "max_rc", "applied", "stop")
-        return dict(zip(keys, dataclasses.astuple(self)))
+        return dict(zip(keys, vars(self).values()))   # the fields in order, not copied
 
 
 @dataclass
@@ -255,18 +253,19 @@ def generate_batch(initial: np.ndarray, cand_ids: np.ndarray, e_user: np.ndarray
     with no_grad():
         cand_flat = flatten_items(cand_ids, gp.shared).value
         for step in range(cfg.max_steps):
-            x = embed_lists(cand_ids[active[:, None], cur[active]], gp.shared)
-            _, e_list = list_attention(x, gp.shared)
-            flat = ad.reshape(x, (len(active), gp.dims.list_size, gp.dims.flat_dim))
+            # flatten_items is a lookup: a current list's rows are its candidates' rows
+            flat = cand_flat[active[:, None], cur[active]]
+            _, e_list = list_attention(ad.constant(flat.reshape(
+                *flat.shape[:2], gp.dims.num_fields, gp.dims.embed_dim)), gp.shared)
             soft_p, slots = gumbel_sample(
-                position_logits(flat, e_list, ad.constant(e_user[active]), gp), cfg)
+                position_logits(ad.constant(flat), e_list, ad.constant(e_user[active]), gp), cfg)
             p_max = soft_p.value.max(axis=1)
             picked = p_max >= cfg.theta_p
             ks = np.zeros(len(active), dtype=np.int64)
             c_max = np.full(len(active), np.nan)      # stays NaN where no slot was picked
             if picked.any():
                 rows, chosen = active[picked], slots[picked, None]
-                e_mask = masked_list_encoding(flat.value[picked], chosen, gp)
+                e_mask = masked_list_encoding(flat[picked], chosen, gp)
                 blocked = blocked_candidates(cur[rows], chosen, cand_ids.shape[1])
                 g = candidate_logits(ad.constant(cand_flat[rows]), e_mask,
                                      ad.constant(e_user[rows]), chosen, gp, blocked)

@@ -91,15 +91,13 @@ def build_oracle_tables(records: Records, eval_params: EvaluatorParams,
     pass as SCORE_CHUNK // m item sets hold (at least one), each block freed
     once keyed, so memory stays O(records)."""
     space = _oracle_space(eval_params)
-    step = max(1, evaluator.SCORE_CHUNK // space.m // math.comb(space.n, space.m))
     cand = records.candidate_ids
     cutoffs = [hit_cutoff(space.count, pct) for pct in HIT_PCTS]
     key_s = np.empty((len(records), len(cutoffs)))
     key_i = np.empty(key_s.shape, dtype=np.int64)
     # a swap pool has one item set per record, every list's own: keep its 2m² slot scores
     kept = np.empty((2, len(records) if space.n == space.m else 0, space.m, space.m))
-    for start in range(0, len(records), step):
-        blk = slice(start, start + step)
+    for blk in evaluator.passes(len(records), space.m * math.comb(space.n, space.m)):
         rows, slots = _table_rows(cand[blk], e_user[blk], eval_params, reward_cfg)
         key_s[blk], key_i[blk] = cutoff_keys(rows, cutoffs)
         if kept.size:

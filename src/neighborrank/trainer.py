@@ -190,15 +190,13 @@ class _TrainCache:
         self.cand_flat = np.empty((n, dims.num_candidates, dims.flat_dim))
         self.list_flat = np.empty((n, dims.list_size, dims.flat_dim))
         self.e_list = np.empty((n, dims.embed_dim))
-        with ad.no_grad():
-            for s in range(0, n, evaluator.SCORE_CHUNK):
-                blk = slice(s, s + evaluator.SCORE_CHUNK)
-                self.cand_flat[blk] = flatten_items(self.cand_ids[blk], ev).value
-                # flatten_items is a lookup: an exposed list's rows are its candidates' rows
-                self.list_flat[blk] = np.take_along_axis(self.cand_flat[blk],
-                                                         self.exposed_idx[blk, :, None], axis=1)
-                x = self.list_flat[blk].reshape(-1, dims.list_size, dims.num_fields, dims.embed_dim)
-                self.e_list[blk] = list_attention(ad.constant(x), ev)[1].value
+        for blk in evaluator.passes(n):
+            self.cand_flat[blk] = flatten_items(self.cand_ids[blk], ev).value
+            # flatten_items is a lookup: an exposed list's rows are its candidates' rows
+            self.list_flat[blk] = np.take_along_axis(self.cand_flat[blk],
+                                                     self.exposed_idx[blk, :, None], axis=1)
+            x = self.list_flat[blk].reshape(-1, dims.list_size, dims.num_fields, dims.embed_dim)
+            self.e_list[blk] = list_attention(ad.constant(x), ev)[1].value
         self.exposed_pctr, self.exposed_pcvr = scores_for_lists(records.exposed_ids, self.e_user, ev)
 
 

@@ -237,6 +237,22 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "eval.ckpt").exists()
 
+    def test_one_label_test_split_is_1(self, pipeline_run, tmp_path, capsys):
+        cfg_path, src = pipeline_run
+        out = copy_run(src, tmp_path / "one-label")
+        (out / "eval.ckpt").unlink()
+        records, manifest = load_dataset(out / "dataset.jsonl")
+        test = records[manifest["num_train"]:]
+        test.clicks[:] = 0
+        test.convs[:] = 0
+        write_dataset(records, load_config(cfg_path).data, out / "dataset.jsonl")
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "test clicks are all one label" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "eval.ckpt").exists()
+
     def test_overflow_prints_one_stderr_line(self, pipeline_run, tmp_path):
         # in a fresh interpreter numpy's overflow warnings would reach stderr
         _, src = pipeline_run

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neighborrank import datagen
-from neighborrank.config import default_config, wide_pool_config
+from neighborrank.config import deep_mlp_config, default_config, wide_pool_config
 from neighborrank.datagen import (
     Catalog,
     DataConfig,
@@ -664,3 +664,28 @@ def test_manifest_sizes_must_fit_int64(tmp_path):
     mpath.write_text(json.dumps({**json.loads(mpath.read_text()), "num_items": 2**63}))
     with pytest.raises(DatasetError, match="'num_items' must be a nonnegative 64-bit integer"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("preset", [default_config, wide_pool_config, deep_mlp_config])
+@pytest.mark.parametrize("num_records", [40, 0])
+def test_a_canonical_file_never_reaches_the_json_path(tmp_path, preset, num_records):
+    """Every file the CLI reads is written by write_dataset: it loads through
+    the template alone, to the JSON reference's columns."""
+    cfg = dataclasses.replace(preset().data, num_records=40)
+    path = write_dataset(generate_records(cfg)[:num_records], cfg, tmp_path / "d.jsonl")
+    want = outcome(json_only_load, path)
+    with mock.patch.object(datagen, "_parse_record", wraps=datagen._parse_record) as parse:
+        assert outcome(load_dataset, path) == want
+    assert parse.call_count == 0
+    assert not isinstance(want, str) and len(want[0][0][2]) == num_records
+
+
+def test_one_layout_edited_line_sends_the_whole_file_to_the_json_path(tmp_path):
+    path = codec_file(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = json.dumps(dict(reversed(json.loads(lines[2]).items()))).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    want = outcome(json_only_load, path)
+    with mock.patch.object(datagen, "_parse_record", wraps=datagen._parse_record) as parse:
+        assert outcome(load_dataset, path) == want
+    assert parse.call_count == len(lines) == 6

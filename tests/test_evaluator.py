@@ -384,6 +384,21 @@ class TestTraining:
         with pytest.raises(FloatingPointError, match="non-finite loss at epoch 0"):
             ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=1, lr=1e70))
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_label_test_split_rejected(self, label):
+        # test AUC would be NaN every epoch, and no epoch's snapshot could
+        # beat the initial weights
+        cfg, train, test = small_dataset(num_records=200)
+        test.clicks[:] = label
+        test.convs[:] = 0
+        dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
+                            brand_vocab=cfg.num_brands, list_size=cfg.list_size,
+                            num_candidates=cfg.num_candidates,
+                            history_sessions=cfg.history_sessions,
+                            embed_dim=4, mlp_hidden=(8,))
+        with pytest.raises(ValueError, match="test clicks are all one label"):
+            ev.train_evaluator(train, test, dims, TrainingSection(eval_epochs=2, seed=2))
+
     def test_empty_dataset_rejected(self):
         cfg, train, test = small_dataset()
         dims = ev.ModelDims(item_vocab=cfg.num_items, cat_vocab=cfg.num_categories,
