@@ -2,9 +2,15 @@
 
 The graph is rebuilt on every forward pass (define-by-run). Each Tensor holds
 a value, a lazily allocated gradient of the same shape, the name of the op
-that produced it and references to its parents. backward() walks the graph in
-reverse topological order, so every node's rule fires exactly once and
-gradients accumulate across all paths.
+that produced it, references to its parents and, for each parent, one
+vector-Jacobian product (VJP): a function from the output's gradient to that
+parent's share of it. Ops state only their VJPs. backward() walks the graph
+in reverse topological order, so every node passes its gradient on exactly
+once. It alone routes the shares: it skips parents that need no gradient,
+allocates the others' gradients and adds each share, so gradients accumulate
+across all paths. A share is an array of the parent's shape, or a
+(rows, values) pair that is added row by row with np.add.at (an embedding
+table's share).
 """
 from __future__ import annotations
 
@@ -48,16 +54,16 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "op", "parents", "requires_grad", "_bwd")
+    __slots__ = ("value", "grad", "op", "parents", "requires_grad", "vjps")
 
     def __init__(self, value, requires_grad: bool = False, op: str = "leaf",
-                 parents: tuple = (), bwd: Callable | None = None):
+                 parents: tuple = (), vjps: tuple[Callable, ...] = ()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.op = op
         self.parents = parents
         self.requires_grad = requires_grad
-        self._bwd = bwd
+        self.vjps = vjps
 
     @property
     def shape(self):
@@ -77,11 +83,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accum(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros(self.value.shape, dtype=np.float64)
-        self.grad += g
-
     def backward(self):
         """Backpropagate from a scalar root; root grad is set to 1.
 
@@ -92,9 +93,19 @@ class Tensor:
         order = topo_order(self)
         self.grad = np.ones(self.value.shape, dtype=np.float64)
         for node in reversed(order):
-            if node._bwd is not None and node.grad is not None:
-                node._bwd(node.grad)
-                node.grad = None
+            g = node.grad
+            if not node.vjps or g is None:
+                continue
+            for parent, vjp in zip(node.parents, node.vjps):
+                if parent.requires_grad:
+                    share = vjp(g)
+                    if parent.grad is None:
+                        parent.grad = np.zeros(parent.value.shape, dtype=np.float64)
+                    if type(share) is tuple:
+                        np.add.at(parent.grad, *share)
+                    else:
+                        parent.grad += share
+            node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -132,9 +143,10 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _make(value, op, parents, bwd) -> Tensor:
+def _make(value, op, parents, vjps) -> Tensor:
+    """The op's output; `vjps[i]` maps its gradient to `parents[i]`'s share."""
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        return Tensor(value, requires_grad=True, op=op, parents=tuple(parents), bwd=bwd)
+        return Tensor(value, requires_grad=True, op=op, parents=tuple(parents), vjps=vjps)
     return Tensor(value, requires_grad=False, op=op)
 
 
@@ -151,62 +163,34 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_val = a.value + b.value
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
-
-    return _make(out_val, "add", (a, b), bwd)
+    return _make(out_val, "add", (a, b), (lambda g: _unbroadcast(g, a.shape),
+                                          lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_val = a.value - b.value
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.shape))
-
-    return _make(out_val, "sub", (a, b), bwd)
+    return _make(out_val, "sub", (a, b), (lambda g: _unbroadcast(g, a.shape),
+                                          lambda g: _unbroadcast(-g, b.shape)))
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(-g)
-
-    return _make(-a.value, "neg", (a,), bwd)
+    return _make(-a.value, "neg", (a,), (lambda g: -g,))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_val = a.value * b.value
     av, bv = a.value, b.value
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * bv, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * av, b.shape))
-
-    return _make(out_val, "mul", (a, b), bwd)
+    return _make(out_val, "mul", (a, b), (lambda g: _unbroadcast(g * bv, a.shape),
+                                          lambda g: _unbroadcast(g * av, b.shape)))
 
 
 def scale(a, s: float) -> Tensor:
     a = _as_tensor(a)
     s = float(s)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * s)
-
-    return _make(a.value * s, "scale", (a,), bwd)
+    return _make(a.value * s, "scale", (a,), (lambda g: g * s,))
 
 
 def matmul(a, b) -> Tensor:
@@ -215,25 +199,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out_val = a.value @ b.value
     av, bv = a.value, b.value
-
-    def bwd(g):
-        if bv.ndim == 2:
-            # rows x weight: fold the leading axes into rows, so b's gradient is
-            # one (k, n) GEMM, never a (..., k, n) stack summed afterwards
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                a._accum((g2 @ bv.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accum(av.reshape(-1, av.shape[-1]).T @ g2)
-            return
-        if a.requires_grad:
-            ga = g @ np.swapaxes(bv, -1, -2)
-            a._accum(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(av, -1, -2) @ g
-            b._accum(_unbroadcast(gb, b.shape))
-
-    return _make(out_val, "matmul", (a, b), bwd)
+    if bv.ndim == 2:
+        # rows x weight: fold the leading axes into rows, so b's gradient is
+        # one (k, n) GEMM, never a (..., k, n) stack summed afterwards
+        vjps = (lambda g: (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(a.shape),
+                lambda g: av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+    else:
+        vjps = (lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), a.shape),
+                lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, b.shape))
+    return _make(out_val, "matmul", (a, b), vjps)
 
 
 def affine(x, w, b) -> Tensor:
@@ -248,77 +222,57 @@ def affine(x, w, b) -> Tensor:
 
 def transpose_last2(a) -> Tensor:
     a = _as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(np.swapaxes(g, -1, -2))
-
-    return _make(np.swapaxes(a.value, -1, -2), "transpose", (a,), bwd)
+    return _make(np.swapaxes(a.value, -1, -2), "transpose", (a,),
+                 (lambda g: np.swapaxes(g, -1, -2),))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old_shape = a.shape
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g.reshape(old_shape))
-
-    return _make(a.value.reshape(shape), "reshape", (a,), bwd)
+    return _make(a.value.reshape(shape), "reshape", (a,), (lambda g: g.reshape(old_shape),))
 
 
 def expand_dims(a, axis: int) -> Tensor:
     a = _as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(np.squeeze(g, axis=axis))
-
     at = range(a.ndim + 1)[axis]   # np.expand_dims' position, by a cheaper reshape
-    return _make(a.value.reshape(a.shape[:at] + (1,) + a.shape[at:]), "expand_dims", (a,), bwd)
+    return _make(a.value.reshape(a.shape[:at] + (1,) + a.shape[at:]), "expand_dims", (a,),
+                 (lambda g: np.squeeze(g, axis=axis),))
 
 
 def broadcast_to(a, shape) -> Tensor:
     a = _as_tensor(a)
     old_shape = a.shape
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, old_shape))
-
     out = np.empty(shape)
     out[...] = a.value           # a broadcasting copy, without np.broadcast_to's overhead
-    return _make(out, "broadcast", (a,), bwd)
+    return _make(out, "broadcast", (a,), (lambda g: _unbroadcast(g, old_shape),))
+
+
+def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
+    index = [slice(None)] * ndim
+    index[axis] = slice(start, stop)
+    return tuple(index)
 
 
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in ts]
     out_val = np.concatenate([t.value for t in ts], axis=axis)
-    splits = np.cumsum(sizes)[:-1]
+    vjps, stop = [], 0
+    for t in ts:
+        start, stop = stop, stop + t.shape[axis]
+        vjps.append(lambda g, start=start, stop=stop: g[_axis_slice(g.ndim, axis, start, stop)])
+    return _make(out_val, "concat", tuple(ts), tuple(vjps))
 
-    def bwd(g):
-        parts = np.split(g, splits, axis=axis)
-        for t, part in zip(ts, parts):
-            if t.requires_grad:
-                t._accum(part)
 
-    return _make(out_val, "concat", tuple(ts), bwd)
+def _zeros_with(shape: tuple, index: tuple, g: np.ndarray) -> np.ndarray:
+    full = np.zeros(shape, dtype=np.float64)
+    full[index] = g
+    return full
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-
-    def bwd(g):
-        if a.requires_grad:
-            full = np.zeros(a.shape, dtype=np.float64)
-            full[index] = g
-            a._accum(full)
-
-    return _make(a.value[index].copy(), "slice", (a,), bwd)
+    index = _axis_slice(a.ndim, axis, start, stop)
+    return _make(a.value[index].copy(), "slice", (a,), (lambda g: _zeros_with(a.shape, index, g),))
 
 
 def embed_lookup(table, ids) -> Tensor:
@@ -330,14 +284,8 @@ def embed_lookup(table, ids) -> Tensor:
         raise VocabError(f"id {int(bad)} outside vocabulary of size {table.shape[0]}")
     out_val = table.value[ids]
     dim = table.shape[1]
-
-    def bwd(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros(table.shape, dtype=np.float64)
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, dim))
-
-    return _make(out_val, "embed", (table,), bwd)
+    # a (rows, values) share: backward adds it row by row, repeated ids included
+    return _make(out_val, "embed", (table,), (lambda g: (ids.reshape(-1), g.reshape(-1, dim)),))
 
 
 def softmax_rows(a) -> Tensor:
@@ -348,48 +296,28 @@ def softmax_rows(a) -> Tensor:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_val = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        if a.requires_grad:
-            dot = (g * out_val).sum(axis=-1, keepdims=True)
-            a._accum(out_val * (g - dot))
-
-    return _make(out_val, "softmax", (a,), bwd)
+    return _make(out_val, "softmax", (a,),
+                 (lambda g: out_val * (g - (g * out_val).sum(axis=-1, keepdims=True)),))
 
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     # tanh form is overflow-safe at both tails
     out_val = 0.5 * (1.0 + np.tanh(0.5 * a.value))
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * out_val * (1.0 - out_val))
-
-    return _make(out_val, "sigmoid", (a,), bwd)
+    return _make(out_val, "sigmoid", (a,), (lambda g: g * out_val * (1.0 - out_val),))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.value > 0
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * mask)
-
-    return _make(a.value * mask, "relu", (a,), bwd)
+    return _make(a.value * mask, "relu", (a,), (lambda g: g * mask,))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     out_val = np.log(a.value)
     av = a.value
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g / av)
-
-    return _make(out_val, "log", (a,), bwd)
+    return _make(out_val, "log", (a,), (lambda g: g / av,))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
@@ -397,12 +325,7 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
     out_val = np.clip(a.value, lo, hi)
     mask = (a.value > lo) & (a.value < hi)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * mask)
-
-    return _make(out_val, "clamp", (a,), bwd)
+    return _make(out_val, "clamp", (a,), (lambda g: g * mask,))
 
 
 def _reduce_axes(axis, ndim):
@@ -418,15 +341,8 @@ def reduce_sum(a, axis=None) -> Tensor:
     axes = _reduce_axes(axis, a.ndim)
     out_val = a.value.sum(axis=axes)
     in_shape = a.shape
-
-    def bwd(g):
-        if a.requires_grad:
-            ge = g
-            for ax in sorted(axes):
-                ge = np.expand_dims(ge, ax)
-            a._accum(np.broadcast_to(ge, in_shape).copy())
-
-    return _make(out_val, "sum", (a,), bwd)
+    return _make(out_val, "sum", (a,),
+                 (lambda g: np.broadcast_to(np.expand_dims(g, axes), in_shape),))
 
 
 def reduce_mean(a, axis=None) -> Tensor:
@@ -435,15 +351,8 @@ def reduce_mean(a, axis=None) -> Tensor:
     count = int(np.prod([a.shape[ax] for ax in axes]))
     out_val = a.value.mean(axis=axes)
     in_shape = a.shape
-
-    def bwd(g):
-        if a.requires_grad:
-            ge = g
-            for ax in sorted(axes):
-                ge = np.expand_dims(ge, ax)
-            a._accum(np.broadcast_to(ge, in_shape) / count)
-
-    return _make(out_val, "mean", (a,), bwd)
+    return _make(out_val, "mean", (a,),
+                 (lambda g: np.broadcast_to(np.expand_dims(g, axes), in_shape) / count,))
 
 
 def grad_check(build: Callable[[], Tensor], wrt: Sequence[Tensor], h: float = 1e-5) -> float:

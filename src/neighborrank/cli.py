@@ -229,7 +229,7 @@ _EVAL_STAGE_KEYS = {
 }
 
 
-def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
+def cmd_sweep(spec_path: Path, out_dir: Path, seed: int | None) -> None:
     payload = read_json(_require(spec_path, "sweep spec"), f"sweep spec {spec_path}")
     if not isinstance(payload, dict):
         raise ConfigError("sweep spec: expected an object")
@@ -241,7 +241,7 @@ def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
         raise ConfigError(f"sweep spec: unknown key {unknown[0]}")
     if type(payload["version"]) is not int or payload["version"] != 1:
         raise ConfigError(f"sweep spec: version: expected 1, got {payload['version']!r}")
-    base = config_from_dict(payload["base"])
+    base = _apply_overrides(config_from_dict(payload["base"]), seed)
     param, values = payload["param"], payload["values"]
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep spec: values must be a nonempty list")
@@ -261,10 +261,8 @@ def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
         sub.mkdir(parents=True, exist_ok=True)
         if shared_stages:
             for name in (DATASET_FILE, DATASET_FILE + ".manifest.json", EVAL_CKPT):
-                target = sub / name
-                if not target.exists():
-                    with atomic_write(target, "wb") as fh:
-                        fh.write((out_dir / name).read_bytes())
+                with atomic_write(sub / name, "wb") as fh:
+                    fh.write((out_dir / name).read_bytes())
         else:
             cmd_gen_data(cfg_v, sub)
             cmd_train_eval(cfg_v, sub)
@@ -282,11 +280,11 @@ def cmd_sweep(spec_path: Path, out_dir: Path) -> None:
     print(f"wrote {out_dir / SUMMARY_FILE} ({len(values)} settings)")
 
 
-def _apply_overrides(cfg: Config, args) -> Config:
-    if args.seed is not None:
+def _apply_overrides(cfg: Config, seed: int | None) -> Config:
+    if seed is not None:
         cfg = dataclasses.replace(cfg)
-        cfg.data = dataclasses.replace(cfg.data, seed=args.seed)
-        cfg.training = dataclasses.replace(cfg.training, seed=args.seed)
+        cfg.data = dataclasses.replace(cfg.data, seed=seed)
+        cfg.training = dataclasses.replace(cfg.training, seed=seed)
     return cfg
 
 
@@ -321,9 +319,9 @@ def main(argv=None) -> int:
             if args.command == "sweep":
                 out_dir = Path(args.out) if args.out else Path("runs/sweep")
                 out_dir.mkdir(parents=True, exist_ok=True)
-                cmd_sweep(Path(args.config), out_dir)
+                cmd_sweep(Path(args.config), out_dir, args.seed)
                 return 0
-            cfg = _apply_overrides(load_config(args.config), args)
+            cfg = _apply_overrides(load_config(args.config), args.seed)
             out_dir = Path(args.out) if args.out else Path(cfg.paths.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             {"gen-data": cmd_gen_data, "train-eval": cmd_train_eval, "train-gen": cmd_train_gen,

@@ -71,9 +71,12 @@ class ModelDims:
         if meta.ndim != 1 or len(meta) < 9 or not ((meta >= 1) & (meta == np.round(meta))).all():
             raise CheckpointError(f"meta.dims {meta.tolist()} is not 9 or more positive integers")
         vals = [int(v) for v in meta.tolist()]
-        return cls(item_vocab=vals[0], cat_vocab=vals[1], brand_vocab=vals[2],
-                   list_size=vals[3], num_candidates=vals[4], history_sessions=vals[5],
-                   embed_dim=vals[6], num_fields=vals[7], mlp_hidden=tuple(vals[8:]))
+        try:
+            return cls(item_vocab=vals[0], cat_vocab=vals[1], brand_vocab=vals[2],
+                       list_size=vals[3], num_candidates=vals[4], history_sessions=vals[5],
+                       embed_dim=vals[6], num_fields=vals[7], mlp_hidden=tuple(vals[8:]))
+        except ValueError as exc:
+            raise CheckpointError(f"meta.dims {vals}: {exc}") from exc
 
 
 def _layout(dims: ModelDims) -> Layout:

@@ -114,6 +114,26 @@ def test_embed_lookup_backward_scatters():
     assert np.array_equal(table.grad, expected)
 
 
+def test_embed_lookup_scatter_order_over_two_lookups():
+    # one table looked up twice with repeated ids, at gradient scales about
+    # 10^6 apart: the table's gradient is np.add.at of each lookup's rows into
+    # one buffer, in backward order, which a dense per-lookup sum rounds apart
+    rng = RngStream(21)
+    table = ad.param(rng.normal((3, 4)))
+    ids = [rng.integers(0, 3, (6, 5)), rng.integers(0, 3, (5, 6))]
+    upstream = [rng.normal((6, 5, 4)) * 1e6, rng.normal((5, 6, 4))]
+    lookups = [ad.embed_lookup(table, i) for i in ids]
+    root = ad.add(ad.reduce_sum(ad.mul(lookups[0], upstream[0]), axis=None),
+                  ad.reduce_sum(ad.mul(lookups[1], upstream[1]), axis=None))
+    want = np.zeros(table.shape)
+    for node in reversed(ad.topo_order(root)):
+        for k, lookup in enumerate(lookups):
+            if node is lookup:
+                np.add.at(want, ids[k].reshape(-1), upstream[k].reshape(-1, 4))
+    root.backward()
+    assert np.array_equal(table.grad, want)
+
+
 def test_backward_accumulates_over_paths():
     # f(x) = x*x + x -> df/dx = 2x + 1
     x = ad.param(np.array([3.0]))
@@ -219,6 +239,10 @@ def test_grad_same_shape_as_value():
     assert x.grad.shape == x.value.shape
 
 
+# entries of scale(x, 0.01) + CLAMP_OFFSETS lie about 1 from clamp's edges
+# [-1, 1]: clipped low, passed and clipped high, never within h of an edge
+CLAMP_OFFSETS = np.array([[-2.0, 0.0, 2.0], [0.0, 2.0, -2.0]])
+
 PRIMITIVE_CASES = [
     ("affine", lambda t: ad.reduce_sum(ad.affine(t[0], t[1], t[2]), axis=None), [(3, 4), (4, 2), (2,)]),
     ("matmul_batched", lambda t: ad.reduce_sum(ad.matmul(t[0], t[1]), axis=None), [(2, 3, 4), (4, 3)]),
@@ -233,6 +257,15 @@ PRIMITIVE_CASES = [
     ("log", lambda t: ad.reduce_sum(ad.log(ad.add(ad.mul(t[0], t[0]), 1.0)), axis=None), [(3, 3)]),
     ("broadcast", lambda t: ad.reduce_sum(ad.mul(ad.broadcast_to(ad.expand_dims(t[0], 0), (4, 2, 3)), 0.7), axis=None), [(2, 3)]),
     ("transpose", lambda t: ad.reduce_sum(ad.matmul(t[0], ad.transpose_last2(t[0])), axis=None), [(3, 4)]),
+    ("sub", lambda t: ad.reduce_sum(ad.mul(ad.sub(t[0], t[1]), t[2]), axis=None), [(3, 4), (4,), (3, 4)]),
+    ("neg", lambda t: ad.reduce_sum(ad.mul(ad.neg(t[0]), t[1]), axis=None), [(3, 2), (3, 2)]),
+    ("scale", lambda t: ad.reduce_sum(ad.mul(ad.scale(t[0], -2.5), t[1]), axis=None), [(2, 3), (2, 3)]),
+    ("clamp", lambda t: ad.reduce_sum(ad.mul(ad.clamp(ad.add(ad.scale(t[0], 0.01), CLAMP_OFFSETS),
+                                                      -1.0, 1.0), t[1]), axis=None), [(2, 3), (2, 3)]),
+    ("reshape", lambda t: ad.reduce_sum(ad.mul(ad.reshape(t[0], (3, 4)), t[1]), axis=None), [(2, 6), (3, 4)]),
+    ("sum_axes", lambda t: ad.reduce_sum(ad.mul(ad.reduce_sum(t[0], axis=(0, 2)), t[1]), axis=None),
+     [(2, 3, 4), (3,)]),
+    ("mul_two_params", lambda t: ad.reduce_sum(ad.mul(t[0], t[1]), axis=None), [(3, 4), (1, 4)]),
 ]
 
 

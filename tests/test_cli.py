@@ -17,7 +17,7 @@ from neighborrank import autodiff as ad
 from neighborrank import cli, datagen
 from neighborrank.checkpoint import load_arrays, save_arrays
 from neighborrank.cli import main
-from neighborrank.config import load_config
+from neighborrank.config import config_from_dict, config_hash, load_config
 from neighborrank.datagen import load_dataset, write_dataset
 
 TINY = {
@@ -188,6 +188,11 @@ class TestExitCodes:
         "wrong-shape": ("eval.ckpt", "head.cvr.b", np.zeros(2), "'head.cvr.b'"),
         "no-dims": ("eval.ckpt", "meta.dims", None, "'meta.dims'"),
         "short-dims": ("eval.ckpt", "meta.dims", np.ones(5), "meta.dims"),
+        # vocabularies 40/5/6, slate 5 of 5, 3 sessions, width 4, then num_fields, MLP
+        "four-fields-dims": ("eval.ckpt", "meta.dims",
+                             np.array([40, 5, 6, 5, 5, 3, 4, 4, 16, 8.0]), "meta.dims"),
+        "slate-over-pool-dims": ("gen.ckpt", "meta.dims",
+                                 np.array([40, 5, 6, 6, 5, 3, 4, 3, 16, 8.0]), "meta.dims"),
         "nan-scale": ("gen.ckpt", "meta.reward_scale", np.array(np.nan), "meta.reward_scale"),
         "nan-tensor": ("gen.ckpt", "pdu.b", np.array([np.nan]), "'pdu.b'"),
     }
@@ -458,6 +463,22 @@ class TestNotUtf8:
         assert path.name in err.getvalue() and "0x8e" in err.getvalue()
 
 
+def write_sweep_spec(tmp_path, param, values, data_seed=5):
+    base = json.loads(json.dumps(TINY))
+    base["data"]["seed"] = data_seed
+    base["paths"] = {"out_dir": str(tmp_path / "unused")}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({"version": 1, "param": param, "values": values,
+                                     "base": base}))
+    return spec_path, base
+
+
+def report_config_hash(run_dir):
+    first = (run_dir / "report.csv").read_text().splitlines()[0]
+    assert first.startswith("# config_sha256=")
+    return first.split("=", 1)[1]
+
+
 class TestSeedOverride:
     def test_seed_flag_changes_dataset(self, tmp_path):
         cfg_path, out = write_config(tmp_path, "seeded")
@@ -465,6 +486,22 @@ class TestSeedOverride:
         first = (out / "dataset.jsonl").read_bytes()
         assert main(["gen-data", "--config", str(cfg_path), "--seed", "100"]) == 0
         assert (out / "dataset.jsonl").read_bytes() != first
+
+    @pytest.mark.parametrize("param,value,data_seed", [
+        ("training.alpha", 0.2, 99),
+        ("data.seed", 3, 3),     # a swept seed wins over the flag
+    ])
+    def test_seed_flag_reaches_the_sweep_base(self, tmp_path, param, value, data_seed):
+        spec_path, base = write_sweep_spec(tmp_path, param, [value])
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(spec_path), "--out", str(out), "--seed", "99"]) == 0
+        run_dir = out / f"value_{value}"
+        manifest = json.loads((run_dir / "dataset.jsonl.manifest.json").read_text())
+        assert manifest["seed"] == data_seed
+        base["data"]["seed"], base["training"]["seed"] = 99, 99
+        section, key = param.split(".")
+        base[section][key] = value
+        assert report_config_hash(run_dir) == config_hash(config_from_dict(base))
 
 
 class TestSweep:
@@ -487,6 +524,20 @@ class TestSweep:
         # evaluator checkpoint are shared bit for bit across settings
         ref = (out / "value_0" / "eval.ckpt").read_bytes()
         assert (out / "value_1.0" / "eval.ckpt").read_bytes() == ref
+
+    def test_rerun_into_one_out_replaces_shared_artifacts(self, tmp_path):
+        out = tmp_path / "sweep_out"
+        previous = None
+        for data_seed in (7, 8):
+            spec_path, _ = write_sweep_spec(tmp_path, "training.alpha", [0, 0.2], data_seed)
+            assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 0
+            shared = {name: (out / name).read_bytes() for name in
+                      ("dataset.jsonl", "dataset.jsonl.manifest.json", "eval.ckpt")}
+            for value in ("0", "0.2"):
+                for name, data in shared.items():
+                    assert (out / f"value_{value}" / name).read_bytes() == data, (value, name)
+            assert shared != previous
+            previous = shared
 
     def test_bad_sweep_param_is_3(self, tmp_path):
         base = json.loads(json.dumps(TINY))
