@@ -224,7 +224,10 @@ def slot_heads(h: Tensor, params: EvaluatorParams) -> tuple[Tensor, Tensor]:
         for k in ("ctr", "cvr"))
 
 
-SCORE_CHUNK = 1024   # rows per inference pass; bounds the activation peak
+# Items per inference pass; bounds the activation peak. scores_for_lists and
+# user_vectors pass SCORE_CHUNK lists or records (m or H·m item rows each);
+# only slot_tables' passes count slot rows.
+SCORE_CHUNK = 1024
 
 
 def passes(count: int, rows_per_item: int = 1):

@@ -205,11 +205,12 @@ def train_generator(train_records: Records,
 
     Runs `training.gen_epochs` epochs and resolves the ablation: "no-l2"
     trains with alpha = 0, "no-relative-reward" rewards neighbors by their
-    raw shaped reward instead of its gain over the origin list.
-    Returns the generator, a history row per epoch (mean main/auxiliary loss
-    and anything the callback adds) and the fitted reward config. The shared
-    evaluator parameters are never updated; only generator-owned tensors are
-    handed to the optimizer.
+    raw shaped reward instead of its gain over the origin list. A neighbor
+    list is scored at most once per call (the memo of _batch_rewards).
+    Returns the generator, a history row per epoch (mean main/auxiliary loss,
+    `lists_scored` sent to the evaluator, and anything the callback adds) and
+    the fitted reward config. The shared evaluator parameters are never
+    updated; only generator-owned tensors are handed to the optimizer.
     Raises TrainingStalled when an epoch leaves every generator parameter
     unchanged.
     """
@@ -232,12 +233,13 @@ def train_generator(train_records: Records,
     n_records = cache.n_records
     batches_per_epoch = math.ceil(n_records / training.batch_size)
     total_steps = max(1, training.gen_epochs * batches_per_epoch)
+    memo = np.full((n_records, gp.dims.list_size, gp.dims.num_candidates), np.nan)
     history: list[dict] = []
     step = 0
     for epoch in range(training.gen_epochs):
         order = rng.split("shuffle", epoch).permutation(n_records)
         start_values = {k: p.value.copy() for k, p in opt.params.items()}
-        sums = {"main": 0.0, "aux": 0.0, "total": 0.0}
+        sums = {"main": 0.0, "aux": 0.0, "total": 0.0, "lists": 0}
         for bstart in range(0, n_records, training.batch_size):
             idx = order[bstart : bstart + training.batch_size]
             b = len(idx)
@@ -245,8 +247,9 @@ def train_generator(train_records: Records,
             tau = training.tau_start + (training.tau_end - training.tau_start) * frac
             gcfg = GumbelConfig(tau=tau, noise=True)
 
-            rewards, pos_rewards, pdu_noise, cru_noise = _batch_rewards(
-                cache, baseline, idx, eval_params, reward_cfg, training, epoch)
+            rewards, pos_rewards, pdu_noise, cru_noise, scored = _batch_rewards(
+                cache, baseline, idx, eval_params, reward_cfg, training, epoch, memo)
+            sums["lists"] += scored
 
             sampled_p, policy_p, soft_c = _batch_forward(cache, idx, gp, gcfg,
                                                          pdu_noise, cru_noise)
@@ -267,7 +270,7 @@ def train_generator(train_records: Records,
         row = {"epoch": epoch,
                "loss_main": sums["main"] / n_records,
                "loss_aux": sums["aux"] / n_records,
-               "loss_total": sums["total"] / n_records}
+               "loss_total": sums["total"] / n_records, "lists_scored": sums["lists"]}
         if epoch_callback is not None:
             row.update(epoch_callback(gp, epoch))
         history.append(row)
@@ -276,35 +279,48 @@ def train_generator(train_records: Records,
 
 def _batch_rewards(cache: _TrainCache, baseline: np.ndarray, idx: np.ndarray,
                    eval_params: EvaluatorParams, reward_cfg: RewardConfig,
-                   training: TrainingSection, epoch: int):
+                   training: TrainingSection, epoch: int, memo: np.ndarray):
     """Neighbor sampling, evaluator scoring and reward tensors for one batch.
 
     A neighbor's reward is its shaped reward minus its record's baseline
     (the origin list's reward, or zero for raw rewards).
 
-    Uses one stream per (record, epoch), so results do not depend on batch
-    composition or visit order. Every record's neighbors are scored in one
-    call, and duplicate edits accumulate in (record, slot, repeat) order.
+    Uses one stream per (record, epoch), so the draws do not depend on batch
+    composition or visit order. The evaluator is frozen, so memo (N, m, n)
+    keeps each (record, slot, candidate) edit's relative reward, NaN until
+    scored. The batch's unscored lists go to the evaluator in one call, each
+    once (in a swap pool (j, L_k) and (k, L_j) are one list and fill both
+    entries); duplicate edits accumulate in (record, slot, repeat) order.
+    Returns the reward and noise arrays and the number of lists scored.
     """
     b, m, n = len(idx), eval_params.dims.list_size, eval_params.dims.num_candidates
     streams = RngStream(training.seed).split_rows("sampling", epoch, rows=idx)
     pdu_noise = streams.gumbel((m,))
     cru_noise = streams.gumbel((m, n))
-    positions, cands, lists = neighbor_edits(cache.exposed_idx[idx], n, training.beta,
-                                             streams.split("neighbors"))
+    origins = cache.exposed_idx[idx]
+    positions, cands, lists = neighbor_edits(origins, n, training.beta, streams.split("neighbors"))
     rows = np.repeat(np.arange(b), cands[0].size)
     slots = np.repeat(positions, cands.shape[2], axis=1).ravel()
     records = idx[rows]
-    pctr, pcvr = scores_for_lists(cache.cand_ids[records[:, None], lists.reshape(-1, m)],
-                                  cache.e_user[records], eval_params)
-    rel = list_reward(pctr, pcvr, reward_cfg) - baseline[records]
+    entries = (records * m + slots) * n + cands.ravel()           # flat memo index
+    twins = entries
+    if n == m:   # the exchange's other half: slot k of candidate c takes L_j
+        twins = (records * m + np.argsort(origins, axis=1)[rows, cands.ravel()]) * n \
+            + origins[rows, slots]
+    keys, first = np.unique(np.minimum(entries, twins), return_index=True)
+    new = first[np.isnan(memo.flat[keys])]
+    pctr, pcvr = scores_for_lists(cache.cand_ids[records[new, None], lists.reshape(-1, m)[new]],
+                                  cache.e_user[records[new]], eval_params)
+    scored = list_reward(pctr, pcvr, reward_cfg) - baseline[records[new]]
+    memo.flat[entries[new]] = memo.flat[twins[new]] = scored
+    rel = memo.flat[entries]
     rewards = np.zeros((b, m, n))
     np.add.at(rewards, (rows, slots, cands.ravel()), rel)
     pos_sum, pos_cnt = np.zeros((2, b, m))
     np.add.at(pos_sum, (rows, slots), rel)
     np.add.at(pos_cnt, (rows, slots), 1.0)
     pos_rewards = np.divide(pos_sum, pos_cnt, out=np.zeros_like(pos_sum), where=pos_cnt > 0)
-    return rewards, pos_rewards, pdu_noise, cru_noise
+    return rewards, pos_rewards, pdu_noise, cru_noise, len(new)
 
 
 def _batch_forward(cache: _TrainCache, idx: np.ndarray, gp: GeneratorParams,

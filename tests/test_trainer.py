@@ -395,18 +395,102 @@ def ref_batch_rewards(cache, baseline, idx, eval_params, reward_cfg, training, e
 @pytest.mark.parametrize("beta", [0.4, 1, 2])
 def test_batch_rewards_match_per_record_loop(beta, n_candidates):
     """All four reward arrays equal the per-record loop bit for bit, duplicate
-    picks (beta = 2) included, on swap (3 of 3) and substitution (3 of 6) pools."""
+    picks (beta = 2) included, on swap (3 of 3) and substitution (3 of 6) pools,
+    through one memo carried over batches of epochs 0, 1 and 3 whose records
+    overlap."""
     train, _, eval_params = small_setup(num_records=120, n_candidates=n_candidates)
     training = TrainingSection(beta=beta, seed=9)
     cache = tr._TrainCache(train, eval_params)
     reward_cfg = tr.fit_reward_scale(cache.exposed_pctr, cache.exposed_pcvr, training)
     baseline = tr.list_reward(cache.exposed_pctr, cache.exposed_pcvr, reward_cfg)
-    idx = RngStream(2).permutation(len(train))[:60]
-    for epoch in (0, 3):
+    order = RngStream(2).permutation(len(train))
+    memo = np.full((len(train), 3, n_candidates), np.nan)
+    scored = []
+    for epoch, idx in ((0, order[:60]), (1, order[30:90]), (3, order[:60])):
         args = (cache, baseline, idx, eval_params, reward_cfg, training, epoch)
-        got, want = tr._batch_rewards(*args), ref_batch_rewards(*args)
+        *got, count = tr._batch_rewards(*args, memo)
+        want = ref_batch_rewards(*args)
+        assert len(got) == len(want) == 4
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        scored.append(count)
     assert np.count_nonzero(got[0]) > 0
+    # one score fills both entries of an exchange
+    assert np.count_nonzero(~np.isnan(memo)) == sum(scored) * (2 if n_candidates == 3 else 1)
+
+
+def drawn_pairs(cache, training, n, epochs):
+    """{(record, neighbor list): [(epoch, slot), ...]} of every edit training
+    draws, from the per-record reference streams."""
+    pairs = {}
+    for epoch in range(epochs):
+        for r in range(cache.n_records):
+            stream = RngStream(training.seed).split("sampling", epoch, r).split("neighbors")
+            for j, _, neighbor in ref_build_neighbors(cache.exposed_idx[r], n, training.beta,
+                                                      stream):
+                pairs.setdefault((r, tuple(neighbor)), []).append((epoch, j))
+    return pairs
+
+
+@pytest.mark.parametrize("n_candidates", [3, 6])
+def test_each_neighbor_list_reaches_the_evaluator_at_most_once(monkeypatch, n_candidates):
+    """Over 4 epochs at beta = 2 every drawn (record, neighbor list) pair is
+    scored exactly once, a swap drawn from both of its slots in different
+    epochs included, and `lists_scored` counts the lists sent per epoch."""
+    train, _, eval_params = small_setup(num_records=100, n_candidates=n_candidates)
+    training = TrainingSection(gen_epochs=4, beta=2, batch_size=16, seed=4)
+    calls = []
+
+    def scores(list_ids, e_user, params):
+        calls.append((list_ids.copy(), e_user.copy()))
+        return ev.scores_for_lists(list_ids, e_user, params)
+
+    monkeypatch.setattr(tr, "scores_for_lists", scores)
+    _, history, _ = tr.train_generator(train, eval_params, training)
+    cache_call, *batch_calls = calls
+    assert np.array_equal(cache_call[0], train.exposed_ids)
+    assert len(batch_calls) == 4 * math.ceil(len(train) / 16)
+    per_epoch = np.array([len(ids) for ids, _ in batch_calls]).reshape(4, -1).sum(axis=1)
+    assert [row["lists_scored"] for row in history] == per_epoch.tolist()
+
+    monkeypatch.undo()
+    cache = tr._TrainCache(train, eval_params)
+    users = {cache.e_user[r].tobytes(): r for r in range(len(train))}
+    assert len(users) == len(train)          # a scored row's user vector names its record
+    scored = [(users[u.tobytes()], ids.tobytes())
+              for list_ids, e_user in batch_calls for ids, u in zip(list_ids, e_user)]
+    assert len(scored) == len(set(scored))
+    drawn = drawn_pairs(cache, training, n_candidates, 4)
+    assert set(scored) == {(r, cache.cand_ids[r][list(neighbor)].tobytes())
+                           for r, neighbor in drawn}
+    assert len(scored) < sum(len(edits) for edits in drawn.values())
+    if n_candidates == 3:
+        assert any(e1 != e2 and j1 != j2 for edits in drawn.values()
+                   for e1, j1 in edits for e2, j2 in edits)
+
+
+def rescoring_batch_rewards(*args):
+    """_batch_rewards without its memo: the per-record loop scores every draw."""
+    return (*ref_batch_rewards(*args[:-1]), 0)
+
+
+@pytest.mark.parametrize("ablation", ["none", "no-relative-reward"])
+@pytest.mark.parametrize("n_candidates", [3, 6])
+def test_memo_changes_no_generator_bit(monkeypatch, n_candidates, ablation):
+    """Training with the memo gives the same parameter bytes, history and
+    reward scale as rescoring every draw, on both pools and with raw rewards."""
+    train, _, eval_params = small_setup(num_records=100, n_candidates=n_candidates)
+    training = TrainingSection(gen_epochs=3, beta=2, batch_size=16, seed=6, ablation=ablation)
+    gp, history, reward_cfg = tr.train_generator(train, eval_params, training)
+    monkeypatch.setattr(tr, "_batch_rewards", rescoring_batch_rewards)
+    ref_gp, ref_history, ref_cfg = tr.train_generator(train, eval_params, training)
+    values, ref_values = gp.ps.values(), ref_gp.ps.values()
+    assert values.keys() == ref_values.keys()
+    for name, value in values.items():
+        assert value.tobytes() == ref_values[name].tobytes(), name
+    assert reward_cfg == ref_cfg
+    for row in history + ref_history:
+        del row["lists_scored"]
+    assert history == ref_history
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -521,8 +605,8 @@ def test_one_graph_forward_matches_per_slot_loop(n, m):
     reward_cfg = tr.fit_reward_scale(cache.exposed_pctr, cache.exposed_pcvr, training)
     baseline = tr.list_reward(cache.exposed_pctr, cache.exposed_pcvr, reward_cfg)
     idx = RngStream(3).permutation(len(records))[:32]
-    rewards, pos_rewards, pdu_noise, cru_noise = tr._batch_rewards(
-        cache, baseline, idx, eval_params, reward_cfg, training, 0)
+    rewards, pos_rewards, pdu_noise, cru_noise, _ = tr._batch_rewards(
+        cache, baseline, idx, eval_params, reward_cfg, training, 0, np.full((48, m, n), np.nan))
     assert np.count_nonzero(rewards) > 0
     gp = gen.GeneratorParams.init(eval_params, RngStream(5))
     for name, t in gp.ps.items():
