@@ -6,11 +6,13 @@ that produced it, references to its parents and, for each parent, one
 vector-Jacobian product (VJP): a function from the output's gradient to that
 parent's share of it. Ops state only their VJPs. backward() walks the graph
 in reverse topological order, so every node passes its gradient on exactly
-once. It alone routes the shares: it skips parents that need no gradient,
-allocates the others' gradients and adds each share, so gradients accumulate
-across all paths. A share is an array of the parent's shape, or a
-(rows, values) pair that is added row by row with np.add.at (an embedding
-table's share).
+once. It alone routes the shares and adds them, so gradients accumulate across
+all paths. A share is an array of the parent's shape, or a (rows, values) pair
+that is added row by row with np.add.at (an embedding table's share). A VJP
+returns a new array or a view, never an array it keeps: a parent's first share
+becomes its gradient when the VJP allocated it, and a copy when it is the
+output's gradient itself or a view. affine (x @ w + b) is one op that adds the
+bias in place, so an MLP layer keeps one full-size array before its activation.
 """
 from __future__ import annotations
 
@@ -97,14 +99,19 @@ class Tensor:
             if not node.vjps or g is None:
                 continue
             for parent, vjp in zip(node.parents, node.vjps):
-                if parent.requires_grad:
-                    share = vjp(g)
+                if not parent.requires_grad:
+                    continue
+                share = vjp(g)
+                if type(share) is tuple:
                     if parent.grad is None:
                         parent.grad = np.zeros(parent.value.shape, dtype=np.float64)
-                    if type(share) is tuple:
-                        np.add.at(parent.grad, *share)
-                    else:
-                        parent.grad += share
+                    np.add.at(parent.grad, *share)
+                elif parent.grad is not None:
+                    parent.grad += share
+                elif share is not g and share.base is None and type(share) is np.ndarray:
+                    parent.grad = share             # the VJP allocated it
+                else:
+                    parent.grad = np.array(share)   # g itself, a view or a numpy scalar
             node.grad = None
 
     def __repr__(self):
@@ -197,27 +204,33 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out_val = a.value @ b.value
+    return _make(a.value @ b.value, "matmul", (a, b), _matmul_vjps(a, b))
+
+
+def _matmul_vjps(a: Tensor, b: Tensor) -> tuple[Callable, Callable]:
+    """a @ b's VJPs for a and b, shared by matmul and affine."""
     av, bv = a.value, b.value
     if bv.ndim == 2:
         # rows x weight: fold the leading axes into rows, so b's gradient is
         # one (k, n) GEMM, never a (..., k, n) stack summed afterwards
-        vjps = (lambda g: (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(a.shape),
+        return (lambda g: (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(a.shape),
                 lambda g: av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-    else:
-        vjps = (lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), a.shape),
-                lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, b.shape))
-    return _make(out_val, "matmul", (a, b), vjps)
+    return (lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), a.shape),
+            lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, b.shape))
 
 
 def affine(x, w, b) -> Tensor:
-    """x @ w + b with the bias broadcast over leading axes."""
+    """x @ w + b with the bias broadcast over leading axes, as one op: the
+    bias is added in place into matmul's product."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.shape[-1] != w.shape[-2]:
+    if x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"affine: input shape {x.shape} does not match weight shape {w.shape}")
     if b.shape[-1] != w.shape[-1]:
         raise ShapeError(f"affine: bias shape {b.shape} does not match weight shape {w.shape}")
-    return add(matmul(x, w), b)
+    out_val = x.value @ w.value
+    out_val += b.value
+    return _make(out_val, "affine", (x, w, b),
+                 _matmul_vjps(x, w) + (lambda g: _unbroadcast(g, b.shape),))
 
 
 def transpose_last2(a) -> Tensor:
@@ -290,7 +303,7 @@ def embed_lookup(table, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         bad = ids[(ids < 0) | (ids >= table.shape[0])].ravel()[0]
         raise VocabError(f"id {int(bad)} outside vocabulary of size {table.shape[0]}")
-    out_val = table.value[ids]
+    out_val = table.value.take(ids, axis=0)   # the range check above: take wraps negative ids
     dim = table.shape[1]
     # a (rows, values) share: backward adds it row by row, repeated ids included
     return _make(out_val, "embed", (table,), (lambda g: (ids.reshape(-1), g.reshape(-1, dim)),))
@@ -301,11 +314,11 @@ def softmax_rows(a) -> Tensor:
     a = _as_tensor(a)
     if np.isnan(a.value).any():
         raise FloatingPointError("softmax_rows: NaN in input")
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
+    shifted = a.value - _reduce_axis(a.value, -1, np.maximum, keepdims=True)
     e = np.exp(shifted)
-    out_val = e / e.sum(axis=-1, keepdims=True)
+    out_val = e / _reduce_axis(e, -1, np.add, keepdims=True)
     return _make(out_val, "softmax", (a,),
-                 (lambda g: out_val * (g - (g * out_val).sum(axis=-1, keepdims=True)),))
+                 (lambda g: out_val * (g - _reduce_axis(g * out_val, -1, np.add, keepdims=True)),))
 
 
 def sigmoid(a) -> Tensor:
@@ -336,6 +349,27 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     return _make(out_val, "clamp", (a,), (lambda g: g * mask,))
 
 
+# Rows (reductions) from which _reduce_axis folds. Measured on one core, folding
+# breaks even with numpy at about 200 rows in softmax_rows (forward and VJP) and
+# 500 in reduce_mean; a walk's batch of one reduces 5-25 rows a call.
+FOLD_MIN_ROWS = 256
+
+
+def _reduce_axis(x: np.ndarray, axis: int, ufunc: np.ufunc, keepdims: bool = False) -> np.ndarray:
+    """ufunc.reduce(x, axis) bit for bit. numpy reduces an axis shorter than 8 left
+    to right (a sum from 0), one inner-loop call per row; folding the axis's slices
+    in that order is faster over many rows. Longer axes keep numpy's pairwise sum."""
+    n = x.shape[axis]
+    if not 0 < n < 8 or x.size < FOLD_MIN_ROWS * n:
+        return ufunc.reduce(x, axis=axis, keepdims=keepdims)
+    ax = axis % x.ndim
+    lead = (slice(None),) * ax
+    out = x[lead + (0,)].copy() if ufunc.identity is None else ufunc(ufunc.identity, x[lead + (0,)])
+    for i in range(1, n):
+        ufunc(out, x[lead + (i,)], out=out)
+    return out.reshape(x.shape[:ax] + (1,) + x.shape[ax + 1:]) if keepdims else out
+
+
 def _reduce_axes(axis, ndim):
     if axis is None:
         return tuple(range(ndim))
@@ -357,7 +391,7 @@ def reduce_mean(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     axes = _reduce_axes(axis, a.ndim)
     count = int(np.prod([a.shape[ax] for ax in axes]))
-    out_val = a.value.mean(axis=axes)
+    out_val = _reduce_axis(a.value, axes[0], np.add) / count if len(axes) == 1 else a.value.mean(axis=axes)
     in_shape = a.shape
     return _make(out_val, "mean", (a,),
                  (lambda g: np.broadcast_to(np.expand_dims(g, axes), in_shape) / count,))
